@@ -20,9 +20,7 @@ _EXPORTS = {
     "InvariantError": "errors",
     # linalg
     "DataMatrix": "linalg",
-    "SymmetricEigen": "linalg",
     "truncated_svd": "linalg",
-    "symmetric_eigen": "linalg",
     # transport
     "TransportPlan": "transport",
     "squared_distance_matrix": "transport",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .linalg import as_matrix, truncated_svd
+from .linalg import as_matrix, check_int, truncated_svd
 
 
 def pca_embed(X, q: int) -> np.ndarray:
@@ -17,13 +17,10 @@ def pca_embed(X, q: int) -> np.ndarray:
     """
     X = as_matrix(X, "X")
     m, p = X.shape
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-        raise InputError(f"q must be an integer, got {q!r}")
     bound = min(m - 1, p)
     if bound < 1:
         raise DimensionError("PCA needs at least two rows")
-    if q < 1 or q > bound:
-        raise DimensionError(f"q must be in [1, {bound}], got {q}")
+    q = check_int(q, "q", 1, bound)
     Xc = X - X.mean(axis=0, keepdims=True)
     _, _, V = truncated_svd(Xc, q)
     return Xc @ V

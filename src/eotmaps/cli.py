@@ -207,14 +207,8 @@ def cmd_embed(args) -> int:
     plan = transport.transport_plan(
         X, Y, epsilon=_parse_epsilon(args.epsilon), tol=args.tol, max_iter=args.max_iter
     )
-    q = _parse_q(args.q)
     model = embedding.spectral_model(plan, k=plan.shape[0])
-    if q == "auto":
-        selection = embedding.select_dimension(model.s)
-        if selection.degenerate:
-            print("warning: flat spectrum, falling back to q=1", file=sys.stderr)
-        q = selection.q
-    emb = embedding.embed_from_model(model, plan, q=q, t=args.t)
+    emb = embedding.embed_from_model(model, plan, q=_parse_q(args.q), t=args.t)
     _write_embedding(args.out_embedding, emb.Xt, emb.Yt)
     _write_spectrum(args.out_spectrum, model.s)
     print(

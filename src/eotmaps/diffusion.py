@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import SpectralModel
-from .errors import DimensionError, InputError
+from .errors import InputError
+from .linalg import check_int
 
 _BLOCKS = ("XX", "XY", "YX", "YY")
 _KINDS = ("XX", "YY", "XY")
@@ -46,8 +47,7 @@ class DiffusionContext:
                 f"model must hold all {m} triplets (got {self.model.s.size}); "
                 "diffusion formulas need the full spectrum"
             )
-        if not isinstance(self.t, (int, np.integer)) or isinstance(self.t, bool) or self.t < 1:
-            raise InputError(f"t must be a positive integer, got {self.t!r}")
+        check_int(self.t, "t", 1)
 
     @property
     def m(self) -> int:
@@ -95,11 +95,8 @@ def diffusion_distance(ctx: DiffusionContext, kind: str, i: int, j: int) -> floa
     m, n = ctx.m, ctx.n
     i_limit = m if kind in ("XX", "XY") else n
     j_limit = n if kind in ("XY", "YY") else m
-    for label, idx, limit in (("i", i, i_limit), ("j", j, j_limit)):
-        if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-            raise InputError(f"{label} must be an integer, got {idx!r}")
-        if idx < 0 or idx >= limit:
-            raise DimensionError(f"{label}={idx} out of range [0, {limit})")
+    check_int(i, "i", 0, i_limit - 1)
+    check_int(j, "j", 0, j_limit - 1)
 
     s2t = model.s[1:] ** (2 * ctx.t)
     if kind == "XX":
@@ -126,8 +123,7 @@ def truncation_bound(s_next: float, t: int, m: int, n: int, kind: str) -> float:
     """
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 1:
-        raise InputError(f"t must be a positive integer, got {t!r}")
+    check_int(t, "t", 1)
     if not np.isfinite(s_next) or s_next < 0:
         raise InputError(f"s_next must be a nonnegative number, got {s_next!r}")
     if m < 1 or n < 1:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, InputError, PlanNotConvergedError
-from .linalg import truncated_svd
+from .linalg import check_int, truncated_svd
 from .transport import TransportPlan, transport_plan
 
 DEFAULT_GAP_THRESHOLD = 0.02
@@ -75,10 +75,7 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
     m, n = plan.shape
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > min(m, n):
-        raise DimensionError(f"k must be in [1, {min(m, n)}], got {k}")
+    k = check_int(k, "k", 1, min(m, n))
 
     s, U, V = truncated_svd(plan.W, k)
     if abs(s[0] - 1.0) > _LEADING_VALUE_TOL:
@@ -122,33 +119,41 @@ def select_dimension(s, threshold: float = DEFAULT_GAP_THRESHOLD) -> DimensionSe
     return DimensionSelection(q=int(np.nonzero(qualifying)[0][-1] + 1), degenerate=False)
 
 
-def embed_from_model(model: SpectralModel, plan: TransportPlan, q: int, t: int) -> JointEmbedding:
-    """Assemble embedding coordinates from an existing spectral model.
+def embed_from_model(
+    model: SpectralModel, plan: TransportPlan, q: int | str, t: int
+) -> JointEmbedding:
+    """Assemble embedding coordinates from triplets 2..q+1 of a spectral model.
 
-    Equivalent to :func:`eot_eigenmaps` with a precomputed plan and model;
-    useful when the model is also needed for other purposes (spectra,
-    diffusion distances) and should only be computed once.
+    ``q`` is an integer in [1, m-1] or "auto", which picks it with
+    :func:`select_dimension` over the model's spectrum (the model must then
+    hold all m triplets) and warns when it falls back to q=1.  Use this
+    instead of :func:`eot_eigenmaps` when the model is also needed for other
+    purposes (spectra, diffusion distances) and should only be computed once.
     """
     if not isinstance(model, SpectralModel):
         raise InputError("model must be a SpectralModel")
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
-        raise InputError(f"t must be a nonnegative integer, got {t!r}")
+    t = check_int(t, "t", 0)
     m, n = plan.shape
     if model.U.shape[0] != m or model.V.shape[0] != n:
         raise InputError("model does not match the plan's shape")
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-        raise InputError(f"q must be an integer, got {q!r}")
-    if q < 1 or q > m - 1:
-        raise DimensionError(f"q must be in [1, {m - 1}], got {q}")
-    return _embed_from_model(model, q=int(q), t=int(t), m=m, n=n, swapped=plan.swapped)
 
-
-def _embed_from_model(
-    model: SpectralModel, q: int, t: int, m: int, n: int, swapped: bool
-) -> JointEmbedding:
-    """Assemble coordinates from triplets 2..q+1 of a certified model."""
+    if isinstance(q, str):
+        if q != "auto":
+            raise InputError(f'q must be a positive integer or "auto", got {q!r}')
+        if model.s.size != m:
+            raise DimensionError(f'q="auto" needs all {m} triplets, model holds {model.s.size}')
+        selection = select_dimension(model.s)
+        if selection.degenerate:
+            warnings.warn(
+                "no singular-value ratio clears the selection threshold; "
+                "falling back to q=1",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        q = selection.q
+    q = check_int(q, "q", 1, m - 1)
     if model.s.size < q + 1:
         raise DimensionError(f"model holds {model.s.size} triplets, need {q + 1}")
     if model.s.size >= q + 2 and abs(model.s[q] - model.s[q + 1]) <= _TIE_TOL:
@@ -156,12 +161,12 @@ def _embed_from_model(
             f"singular values {q + 1} and {q + 2} coincide within {_TIE_TOL:g}; "
             "the last embedding coordinate is only defined up to rotation",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     factors = model.s[1 : q + 1] ** t
     A = np.sqrt(m) * model.U[:, 1 : q + 1] * factors[None, :]
     B = np.sqrt(n) * model.V[:, 1 : q + 1] * factors[None, :]
-    Xt, Yt = (B, A) if swapped else (A, B)
+    Xt, Yt = (B, A) if plan.swapped else (A, B)
     return JointEmbedding(Xt=Xt, Yt=Yt, q=q, t=t, s_used=model.s[1 : q + 1].copy())
 
 
@@ -173,7 +178,6 @@ def eot_eigenmaps(
     epsilon="median",
     tol: float = 1e-10,
     max_iter: int = 10000,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     plan: TransportPlan | None = None,
 ) -> JointEmbedding:
     """Jointly embed two clouds via the spectrum of their entropic plan.
@@ -195,38 +199,14 @@ def eot_eigenmaps(
     -------
     JointEmbedding in the caller's order (Xt aligns with X's rows).
     """
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
-        raise InputError(f"t must be a nonnegative integer, got {t!r}")
+    check_int(t, "t", 0)
     if plan is None:
         plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
-    m, n = plan.shape
-
-    if isinstance(q, str):
-        if q != "auto":
-            raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-        model = spectral_model(plan, k=m)
-        selection = select_dimension(model.s, threshold=gap_threshold)
-        if selection.degenerate:
-            warnings.warn(
-                "no singular-value ratio clears the selection threshold; "
-                "falling back to q=1",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        q = selection.q
-    else:
-        if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-            raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-        if q < 1 or q > m - 1:
-            raise DimensionError(f"q must be in [1, {m - 1}], got {q}")
-        model = spectral_model(plan, k=min(m, q + 2))
-
-    sw = plan.swapped
-    x_rows, y_rows = (n, m) if sw else (m, n)
-    emb = _embed_from_model(model, q=q, t=int(t), m=m, n=n, swapped=sw)
-    if emb.Xt.shape[0] != x_rows or emb.Yt.shape[0] != y_rows:  # pragma: no cover
-        raise InputError("embedding rows do not match the input clouds")
-    return emb
+    m = plan.shape[0]
+    # "auto" reads the whole spectrum; a fixed q needs one triplet past its
+    # last coordinate for the tie check.
+    k = m if isinstance(q, str) else min(m, check_int(q, "q", 1, m - 1) + 2)
+    return embed_from_model(spectral_model(plan, k=k), plan, q=q, t=t)
 
 
 def embedding_cost(emb: JointEmbedding, plan: TransportPlan) -> float:

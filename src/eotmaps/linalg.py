@@ -1,14 +1,14 @@
 """Dense linear-algebra primitives with deterministic sign conventions.
 
 Everything downstream (plan factorization, spectra, embeddings) funnels
-through the two decompositions here, so their conventions are pinned once:
+through the one decomposition here, so its conventions are pinned once:
 
-* singular triplets and eigenpairs come out in deterministic order
-  (descending values) with deterministic signs, so repeated runs on the same
-  input are bitwise identical;
-* the sign of each singular/eigen vector is fixed by making its
-  largest-magnitude entry positive (first such entry on ties); for singular
-  pairs the right vector is then aligned so that ``u^T A v >= 0``.
+* singular triplets come out in deterministic order (descending values)
+  with deterministic signs, so repeated runs on the same input are bitwise
+  identical;
+* the sign of each left singular vector is fixed by making its
+  largest-magnitude entry positive (first such entry on ties), and the
+  right vector is then aligned so that ``u^T A v >= 0``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,19 @@ from .errors import DimensionError, InputError, NumericalError
 # sign can no longer be inferred from u^T A v.
 SINGULAR_FLOOR = 1e-12
 
-_ORTHONORMALITY_TOL = 1e-10
-_RESIDUAL_TOL = 1e-8
-_SYMMETRY_TOL = 1e-12
+
+def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """Return ``value`` as an int after checking it is an integer in [lo, hi].
+
+    A non-integer (bools included) raises InputError; an integer outside the
+    range raises DimensionError.  ``hi=None`` leaves the range open above.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        span = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise DimensionError(f"{name} must be {span}, got {value}")
+    return int(value)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -49,13 +59,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 2:
-            raise InputError(f"DataMatrix must be 2-D, got ndim={arr.ndim}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InputError(f"DataMatrix must be non-empty, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InputError("DataMatrix contains non-finite entries")
+        arr = np.array(as_matrix(self.values, "DataMatrix"), copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -66,14 +70,6 @@ class DataMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class SymmetricEigen:
-    """Leading eigenpairs of a symmetric matrix, values descending."""
-
-    values: np.ndarray  # (k,)
-    vectors: np.ndarray  # (n, k), orthonormal columns
 
 
 def _fix_singular_signs(A: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray):
@@ -121,10 +117,7 @@ def truncated_svd(A, k: int):
     """
     A = as_matrix(A, "A")
     m, n = A.shape
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > min(m, n):
-        raise DimensionError(f"k must be in [1, {min(m, n)}], got {k}")
+    k = check_int(k, "k", 1, min(m, n))
 
     if m <= n:
         U_full, s_full, Vt_full = np.linalg.svd(A, full_matrices=False)
@@ -144,34 +137,3 @@ def truncated_svd(A, k: int):
         raise NumericalError("SVD produced non-finite factors")
     return s, U, V
 
-
-def symmetric_eigen(A, k: int) -> SymmetricEigen:
-    """Leading ``k`` eigenpairs (by algebraic value, descending) of a symmetric matrix.
-
-    The input must be symmetric to within 1e-12 entrywise.  Vector signs
-    follow the largest-entry convention.
-    """
-    A = as_matrix(A, "A")
-    n, n2 = A.shape
-    if n != n2:
-        raise InputError(f"A must be square, got shape {A.shape}")
-    if np.abs(A - A.T).max() > _SYMMETRY_TOL:
-        raise InputError("A is not symmetric to within 1e-12")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > n:
-        raise DimensionError(f"k must be in [1, {n}], got {k}")
-
-    w, Q = np.linalg.eigh(A)
-    w = np.ascontiguousarray(w[::-1][:k])
-    Q = np.ascontiguousarray(Q[:, ::-1][:, :k])
-    idx = np.argmax(np.abs(Q), axis=0)
-    Q *= np.where(Q[idx, np.arange(k)] < 0, -1.0, 1.0)
-
-    gram = Q.T @ Q
-    if np.abs(gram - np.eye(k)).max() > _ORTHONORMALITY_TOL:
-        raise NumericalError("eigenvectors lost orthonormality")
-    scale = max(np.abs(A).max(), 1e-300)
-    if np.abs(A @ Q - Q * w).max() > _RESIDUAL_TOL * scale:
-        raise NumericalError("eigen-decomposition residual too large")
-    return SymmetricEigen(values=w, vectors=Q)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
-from .linalg import as_matrix
+from .errors import InputError
+from .linalg import as_matrix, check_int
 from .simulate import _stream
 from .transport import squared_distance_matrix
 
@@ -46,15 +46,11 @@ def knn(points, k: int) -> NeighborSets:
     distances).  A point is never its own neighbor.
     """
     P = as_matrix(points, "points")
-    N = P.shape[0]
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > N - 1:
-        raise DimensionError(f"k must be in [1, {N - 1}], got {k}")
+    k = check_int(k, "k", 1, P.shape[0] - 1)
     D2 = squared_distance_matrix(P, P)
     np.fill_diagonal(D2, np.inf)
     order = np.argsort(D2, axis=1, kind="stable")
-    return NeighborSets(k=int(k), indices=np.ascontiguousarray(order[:, :k]))
+    return NeighborSets(k=k, indices=np.ascontiguousarray(order[:, :k]))
 
 
 def jaccard_concordance(embedded, latent, k: int = DEFAULT_NEIGHBORS) -> float:
@@ -236,21 +232,15 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10, max_iter: int = 20
     within-cluster sum of squares.
     """
     P = as_matrix(points, "points")
-    N = P.shape[0]
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > N:
-        raise DimensionError(f"k must be in [1, {N}], got {k}")
-    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
-        raise InputError(f"restarts must be a positive integer, got {restarts!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
+    k = check_int(k, "k", 1, P.shape[0])
+    restarts = check_int(restarts, "restarts", 1)
+    max_iter = check_int(max_iter, "max_iter", 1)
 
     best_labels, best_wcss = None, np.inf
     for restart in range(restarts):
         rng = _stream(seed, 3, restart)  # role 3: clustering restarts
-        centers = _seed_centers(P, int(k), rng)
-        labels, wcss = _lloyd(P, centers, int(max_iter))
+        centers = _seed_centers(P, k, rng)
+        labels, wcss = _lloyd(P, centers, max_iter)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels

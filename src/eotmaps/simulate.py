@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix
+from .linalg import DataMatrix, check_int
 
 _ROLE_LATENT = 0
 _ROLE_NUISANCE = 1
@@ -39,9 +39,8 @@ GMM_MEAN_SCALE = 5.0
 
 def _stream(seed, *key: int) -> np.random.Generator:
     """Philox generator for one (seed, *key) slot."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + key)))
+    seed = check_int(seed, "seed", 0)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + key)))
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ def sample_torus(count: int, seed, dataset: int = 1) -> LatentSample:
     Angles u, v are independent U[0, 2*pi); the point is
     ((2 + 0.8 cos u) cos v, (2 + 0.8 cos u) sin v, 0.8 sin u).
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InputError(f"count must be a positive integer, got {count!r}")
+    count = check_int(count, "count", 1)
     rng = _stream(seed, int(dataset), _ROLE_LATENT)
     u = rng.uniform(0.0, 2.0 * np.pi, count)
     v = rng.uniform(0.0, 2.0 * np.pi, count)
@@ -91,8 +89,7 @@ def sample_torus(count: int, seed, dataset: int = 1) -> LatentSample:
 
 def sample_gmm(count: int, seed, dataset: int = 1) -> LatentSample:
     """Six equiprobable Gaussian classes in R^6, means 5*e_c, identity covariance."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InputError(f"count must be a positive integer, got {count!r}")
+    count = check_int(count, "count", 1)
     rng = _stream(seed, int(dataset), _ROLE_LATENT)
     labels = rng.integers(0, GMM_CLASSES, size=count)
     means = GMM_MEAN_SCALE * np.eye(GMM_CLASSES)
@@ -149,8 +146,7 @@ class BandedGaussianNoise:
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise InputError(f"sigma must be a nonnegative number, got {self.sigma!r}")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
-            raise InputError(f"r must be a positive integer, got {self.r!r}")
+        check_int(self.r, "r", 1)
 
     def std_map(self, count: int, p: int) -> np.ndarray:
         std = np.full((count, p), float(self.sigma))
@@ -200,10 +196,8 @@ class ObservationModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
-            raise InputError(f"p must be a positive integer, got {self.p!r}")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1 or self.r > self.p:
-            raise InputError(f"r must be in [1, p], got {self.r!r}")
+        check_int(self.p, "p", 1)
+        check_int(self.r, "r", 1, self.p)
         for name in ("nu1", "nu2"):
             nu = np.asarray(getattr(self, name), dtype=float)
             if nu.shape != (self.p,) or not np.isfinite(nu).all():
@@ -229,8 +223,7 @@ class ObservationModelConfig:
         object.__setattr__(self, "U_basis", U)
         object.__setattr__(self, "V1_basis", V1)
         object.__setattr__(self, "V2_basis", V2)
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
-            raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_int(self.seed, "seed", 0)
 
 
 def observe(latent: LatentSample, which: int, cfg: ObservationModelConfig) -> DataMatrix:
@@ -313,16 +306,14 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
     """
     if name not in PRESET_NAMES:
         raise InputError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    for label, v in (("m", m), ("n", n)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise InputError(f"{label} must be a positive integer, got {v!r}")
+    check_int(m, "m", 1)
+    check_int(n, "n", 1)
     param = float(param)
     if not np.isfinite(param) or param <= 0:
         raise InputError(f"param must be a positive number, got {param!r}")
 
     r = 6 if name == "clustering" else 3
-    if not isinstance(p, (int, np.integer)) or p <= r:
-        raise InputError(f"p must be an integer greater than r={r}, got {p!r}")
+    check_int(p, "p", r + 1)
     eye = np.eye(p)
     U = eye[:, :r]
     V1 = eye[:, :0]

@@ -13,7 +13,7 @@ in the log domain, which stays stable for small bandwidths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .linalg import DataMatrix, as_matrix
+from .linalg import DataMatrix, as_matrix, check_int
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -133,8 +133,7 @@ def sinkhorn(
     m, n = logK.shape
     if not (np.isscalar(tol) and np.isfinite(tol)) or tol <= 0:
         raise InputError(f"tol must be a positive number, got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = check_int(max_iter, "max_iter", 1)
 
     log_row_target = 0.5 * (np.log(n) - np.log(m))
     log_col_target = -log_row_target
@@ -225,17 +224,7 @@ def transport_plan(
             raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
 
     plan = sinkhorn(-D2 / eps, tol=tol, max_iter=max_iter, epsilon=eps)
-    if swapped:
-        return TransportPlan(
-            W=plan.W,
-            alpha=plan.alpha,
-            beta=plan.beta,
-            epsilon=plan.epsilon,
-            iterations=plan.iterations,
-            marginal_residual=plan.marginal_residual,
-            swapped=True,
-        )
-    return plan
+    return replace(plan, swapped=True) if swapped else plan
 
 
 __all__ = [

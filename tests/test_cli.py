@@ -180,6 +180,16 @@ def test_embed_auto_dimension_reported(tmp_path, workdir):
     assert r.returncode == 0
     assert "q=" in r.stderr and "sweeps" in r.stderr
 
+    # the CLI's default q is the library's "auto", on the same inputs
+    from eotmaps import eot_eigenmaps
+
+    X = np.loadtxt(workdir / "X.csv", delimiter=",", ndmin=2)
+    Y = np.loadtxt(workdir / "Y.csv", delimiter=",", ndmin=2)
+    lib = eot_eigenmaps(X, Y, q="auto")
+    emb = np.loadtxt(tmp_path / "emb.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert f"q={lib.q}," in r.stderr
+    np.testing.assert_allclose(emb[:, 2:], np.vstack([lib.Xt, lib.Yt]), rtol=0, atol=1e-12)
+
 
 def test_embed_input_errors(tmp_path, workdir):
     r = run_cli(

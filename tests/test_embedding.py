@@ -212,6 +212,13 @@ def test_embed_from_model_matches_and_validates(pair):
     small = spectral_model(plan, k=3)
     with pytest.raises(DimensionError):
         embed_from_model(small, plan, q=5, t=0)
+    with pytest.raises(DimensionError):
+        embed_from_model(small, plan, q="auto", t=0)
+    with pytest.raises(InputError):
+        embed_from_model(model, plan, q="three", t=0)
+
+    auto = embed_from_model(model, plan, q="auto", t=0)
+    np.testing.assert_array_equal(auto.Xt, eot_eigenmaps(X, Y, q="auto", plan=plan).Xt)
 
     other = transport_plan(RNG.normal(size=(9, 2)), RNG.normal(size=(11, 2)))
     with pytest.raises(InputError):

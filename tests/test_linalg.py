@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eotmaps import DataMatrix, DimensionError, InputError, symmetric_eigen, truncated_svd
+from eotmaps import DataMatrix, DimensionError, InputError, truncated_svd
 
 RNG = np.random.default_rng(20260817)
 
@@ -102,41 +102,6 @@ def test_svd_input_validation():
         truncated_svd(np.array([[np.nan, 1.0]]), 1)
     with pytest.raises(InputError):
         truncated_svd(np.ones(3), 1)
-
-
-def test_symmetric_eigen_hand_oracle():
-    # [[2,1],[1,2]] has eigenpairs (3, [1,1]/sqrt2) and (1, [1,-1]/sqrt2);
-    # the sign rule picks the first (tied) entry positive for the second.
-    A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    eig = symmetric_eigen(A, 2)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(eig.values, [3.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(eig.vectors[:, 0], [inv_sqrt2, inv_sqrt2], atol=1e-14)
-    np.testing.assert_allclose(eig.vectors[:, 1], [inv_sqrt2, -inv_sqrt2], atol=1e-14)
-
-
-def test_symmetric_eigen_invariants_random():
-    B = RNG.normal(size=(9, 9))
-    A = B + B.T
-    eig = symmetric_eigen(A, 9)
-    assert np.all(np.diff(eig.values) <= 0)
-    np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(9), atol=1e-10)
-    np.testing.assert_allclose(
-        A, (eig.vectors * eig.values) @ eig.vectors.T, atol=1e-8 * np.abs(A).max()
-    )
-    np.testing.assert_allclose(eig.values, np.linalg.eigvalsh(A)[::-1], atol=1e-10)
-
-    top = symmetric_eigen(A, 3)
-    np.testing.assert_array_equal(top.values, eig.values[:3])
-    np.testing.assert_array_equal(top.vectors, eig.vectors[:, :3])
-
-
-def test_symmetric_eigen_rejects_asymmetric():
-    A = np.array([[1.0, 2.0], [2.0001, 1.0]])
-    with pytest.raises(InputError):
-        symmetric_eigen(A, 1)
-    with pytest.raises(InputError):
-        symmetric_eigen(RNG.normal(size=(3, 4)), 1)
 
 
 def test_data_matrix_validation():

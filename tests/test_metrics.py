@@ -198,6 +198,10 @@ def test_kmeans_validation():
         kmeans(P, 2, restarts=0)
     with pytest.raises(InputError):
         kmeans(P, 2.0)
+    with pytest.raises(InputError):
+        kmeans(P, 2, restarts=True)
+    with pytest.raises(InputError):
+        kmeans(P, 2, max_iter=True)
 
 
 def test_kmeans_quality_on_gaussian_mixture():

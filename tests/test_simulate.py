@@ -261,3 +261,7 @@ def test_preset_validation():
         preset("setting1", m=0, n=5, p=6, seed=0)
     with pytest.raises(InputError):
         preset("setting1", m=5, n=5, p=6, seed=0, param=0.0)
+    with pytest.raises(InputError):
+        preset("setting1", True, 5, 10, 0)
+    with pytest.raises(InputError):
+        sample_torus(True, 0)

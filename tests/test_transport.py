@@ -207,6 +207,8 @@ def test_transport_plan_explicit_epsilon_and_validation():
         transport_plan(X, Y, epsilon="garbage")
     with pytest.raises(InputError):
         transport_plan(X, np.ones((8, 3)))
+    with pytest.raises(InputError):
+        transport_plan(X, Y, max_iter=True)
 
 
 def test_transport_plan_identical_points_degenerate():
