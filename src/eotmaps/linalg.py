@@ -1,7 +1,7 @@
 """Dense linear-algebra primitives with deterministic sign conventions.
 
 Everything downstream (plan factorization, spectra, embeddings) funnels
-through the one decomposition here, so its conventions are pinned once:
+through ``truncated_svd``, so its conventions are pinned once:
 
 * singular triplets come out in deterministic order (descending values)
   with deterministic signs, so repeated runs on the same input are bitwise
@@ -9,6 +9,14 @@ through the one decomposition here, so its conventions are pinned once:
 * the sign of each left singular vector is fixed by making its
   largest-magnitude entry positive (first such entry on ties), and the
   right vector is then aligned so that ``u^T A v >= 0``.
+
+``truncated_svd`` has two paths.  When few triplets are asked for
+(4 * (k + 4) <= min(m, n)) it runs block subspace iteration (Halko,
+Martinsson & Tropp 2011, "Finding structure with randomness", SIAM Review)
+from a fixed Philox start block and certifies every returned triplet by
+its two-sided residual; an iteration budget tied to the cost of a dense SVD
+sends slowly converging inputs to the dense path.  Otherwise it runs a
+full dense SVD and slices it.
 """
 
 from __future__ import annotations
@@ -22,6 +30,18 @@ from .errors import DimensionError, InputError, NumericalError
 # Singular values at or below this are treated as numerically zero when a
 # sign can no longer be inferred from u^T A v.
 SINGULAR_FLOOR = 1e-12
+
+# Block subspace iteration: the block holds k + _OVERSAMPLE vectors and runs
+# only when min(m, n) is at least _SUBSPACE_RATIO block widths.
+_OVERSAMPLE = 4
+_SUBSPACE_RATIO = 4
+_START_KEY = 2011  # Philox key of the start block
+# The iteration stops once max ||A v - s u|| / s_1 is at most _STOP_TOL, or
+# once it is at most _FLOOR_TOL and no longer falls (rounding floor reached).
+# The k-th vector's error grows like this residual over its gap to s_{k+1}.
+_STOP_TOL = 1e-14
+_FLOOR_TOL = 1e-12
+_CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 every returned triplet must meet
 
 
 def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -98,6 +118,58 @@ def _fix_singular_signs(A: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarr
         V *= np.where(d < 0, -1.0, 1.0)
 
 
+def _subspace_svd(A: np.ndarray, k: int):
+    """Leading k triplets of A by block subspace iteration, or None.
+
+    Each step maps an orthonormal n x b block Q to P = orth(A Q), then
+    A^T P = Q' R, and takes the Ritz triplets from the SVD of the b x b
+    factor R^T = P^T A Q'.  A^T U = V S then holds by construction, and
+    ||A V - U S|| is read from the next A Q' product, so the stopping test
+    costs no extra pass over A.  The step budget is the Golub-Van Loan flop
+    count of a dense thin SVD of an l x r matrix, r <= l (6 l r^2 + 20 r^3),
+    over the 4 l r b flops of one step's two block products; when it runs
+    out the caller falls back to the dense path (None).  Triplets that stop
+    but fail the two-sided residual certificate raise NumericalError.
+    """
+    m, n = A.shape
+    r, l = min(m, n), max(m, n)
+    b = k + _OVERSAMPLE
+    budget = (6 * l * r**2 + 20 * r**3) // (4 * l * r * b)
+    rng = np.random.Generator(np.random.Philox(key=_START_KEY))
+    Q = np.linalg.qr(rng.standard_normal((n, b)))[0]
+    s = None
+    previous = np.inf
+    for _ in range(budget):
+        AQ = A @ Q
+        if s is not None:
+            residual = np.linalg.norm(AQ @ Vs - U * s, axis=0).max()
+            if residual <= _STOP_TOL * s[0] or previous <= residual <= _FLOOR_TOL * s[0]:
+                break
+            previous = residual
+        P = np.linalg.qr(AQ)[0]
+        # (P^T A)^T reads a C-ordered A along its rows: 2-3x faster than
+        # A.T @ P with OpenBLAS on 2 threads.
+        Q, R = np.linalg.qr((P.T @ A).T)
+        Us, s_all, Vst = np.linalg.svd(R.T)
+        s = s_all[:k]
+        U = P @ Us[:, :k]
+        Vs = np.ascontiguousarray(Vst[:k].T)
+    else:
+        return None
+
+    V = Q @ Vs
+    residual = max(
+        np.linalg.norm(A @ V - U * s, axis=0).max(),
+        np.linalg.norm((U.T @ A).T - V * s, axis=0).max(),
+    )
+    if not residual <= _CERTIFICATE_TOL * s[0]:
+        raise NumericalError(
+            f"subspace iteration residual {residual:.3e} exceeds "
+            f"{_CERTIFICATE_TOL:g} * s_1 = {_CERTIFICATE_TOL * s[0]:.3e}"
+        )
+    return s, U, V
+
+
 def truncated_svd(A, k: int):
     """Leading ``k`` singular triplets of a dense matrix.
 
@@ -112,28 +184,37 @@ def truncated_svd(A, k: int):
     U : (m, k) left singular vectors, orthonormal columns
     V : (n, k) right singular vectors, orthonormal columns
 
-    Signs follow the module convention, so results are reproducible
+    When 4 * (k + 4) <= min(m, n) the triplets come from block subspace
+    iteration with k + 4 vectors, started from a fixed Philox stream and
+    stopped once ||A v - s u|| <= 1e-14 * s_1 for every triplet, or once
+    that residual is below 1e-12 * s_1 and has stopped falling.  Before
+    they are returned, both ||A v - s u|| and ||A^T u - s v|| must be at most
+    1e-10 * s_1, else NumericalError is raised.  If the iteration has not
+    stopped within the flop budget of a dense SVD (clustered leading
+    values), or k is larger, a full dense SVD is sliced instead.  Signs
+    follow the module convention on both paths, so results are reproducible
     bit-for-bit on identical input.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
     k = check_int(k, "k", 1, min(m, n))
 
-    if m <= n:
-        U_full, s_full, Vt_full = np.linalg.svd(A, full_matrices=False)
-        V_full = Vt_full.T
-    else:
-        # Work on the transpose so the small side drives the decomposition,
-        # then swap the factors back.
-        V_full, s_full, Ut_full = np.linalg.svd(A.T, full_matrices=False)
-        U_full = Ut_full.T
-
-    s = np.ascontiguousarray(s_full[:k])
-    U = np.ascontiguousarray(U_full[:, :k])
-    V = np.ascontiguousarray(V_full[:, :k])
+    triplets = None
+    if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
+        triplets = _subspace_svd(A, k)
+    if triplets is None:
+        if m <= n:
+            U_full, s_full, Vt_full = np.linalg.svd(A, full_matrices=False)
+            V_full = Vt_full.T
+        else:
+            # Work on the transpose so the small side drives the decomposition,
+            # then swap the factors back.
+            V_full, s_full, Ut_full = np.linalg.svd(A.T, full_matrices=False)
+            U_full = Ut_full.T
+        triplets = (s_full[:k], U_full[:, :k], V_full[:, :k])
+    s, U, V = (np.ascontiguousarray(x) for x in triplets)
     _fix_singular_signs(A, s, U, V)
 
     if not (np.isfinite(s).all() and np.isfinite(U).all() and np.isfinite(V).all()):
         raise NumericalError("SVD produced non-finite factors")
     return s, U, V
-

@@ -201,7 +201,8 @@ def transport_plan(
     ``epsilon`` is either a positive number or ``"median"`` (bandwidth set to
     the median of all squared pairwise distances).  The stored plan always
     has at most as many rows as columns; when the caller's X is the larger
-    cloud the computation runs on (Y, X) and ``swapped`` is set.
+    cloud the computation runs on (Y, X) and ``swapped`` is set.  Running
+    out of memory for the m x n arrays raises InputError naming the size.
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -210,20 +211,27 @@ def transport_plan(
             f"X and Y must share a feature dimension, got {X.shape[1]} and {Y.shape[1]}"
         )
 
-    swapped = X.shape[0] > Y.shape[0]
-    A, B = (Y, X) if swapped else (X, Y)
-    D2 = squared_distance_matrix(A, B)
-
     if isinstance(epsilon, str):
         if epsilon != "median":
             raise InputError(f'epsilon must be a positive number or "median", got {epsilon!r}')
-        eps = median_bandwidth(D2)
     else:
         eps = float(epsilon)
         if not np.isfinite(eps) or eps <= 0:
             raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
 
-    plan = sinkhorn(-D2 / eps, tol=tol, max_iter=max_iter, epsilon=eps)
+    swapped = X.shape[0] > Y.shape[0]
+    A, B = (Y, X) if swapped else (X, Y)
+    try:
+        D2 = squared_distance_matrix(A, B)
+        if isinstance(epsilon, str):
+            eps = median_bandwidth(D2)
+        plan = sinkhorn(-D2 / eps, tol=tol, max_iter=max_iter, epsilon=eps)
+    except MemoryError as exc:
+        m, n = X.shape[0], Y.shape[0]
+        raise InputError(
+            f"a {m} x {n} transport plan does not fit in memory "
+            f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
+        ) from exc
     return replace(plan, swapped=True) if swapped else plan
 
 

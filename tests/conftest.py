@@ -5,10 +5,16 @@ functions named ``test_cNN_<slug>``) and prints one ``ACCEPTANCE NN <slug>:
 PASS/FAIL`` line per criterion in the terminal summary, where pytest's
 output capture cannot swallow it.  Criterion 11 includes the whole-session
 wall time against its 10-minute budget.
+
+Also provides ``subspace_outcomes``, which records whether each call to
+``truncated_svd``'s block subspace iteration returned triplets (True) or
+ran out of its budget and left the call to the dense path (False).
 """
 
 import re
 import time
+
+import pytest
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_c(\d{2})_([a-z0-9_]+)")
 _results: dict[int, tuple[str, bool]] = {}
@@ -44,3 +50,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             note = f" (suite wall time {elapsed:.0f}s, budget 600s)"
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {num:02d} {slug.replace('_', '-')}: {status}{note}")
+
+
+@pytest.fixture
+def subspace_outcomes(monkeypatch):
+    import eotmaps.linalg as linalg
+
+    outcomes = []
+    original = linalg._subspace_svd
+
+    def spy(A, k):
+        result = original(A, k)
+        outcomes.append(result is not None)
+        return result
+
+    monkeypatch.setattr(linalg, "_subspace_svd", spy)
+    return outcomes

@@ -229,6 +229,24 @@ def test_embed_nonconvergence_exits_3(tmp_path, workdir):
     assert "numerical failure" in r.stderr
 
 
+def test_embed_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys):
+    import eotmaps.transport as transport
+    from eotmaps import cli
+
+    def exhausted(A, B):
+        raise MemoryError
+
+    monkeypatch.setattr(transport, "squared_distance_matrix", exhausted)
+    code = cli.main([
+        "embed", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
+        "--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "8 x 10 transport plan does not fit in memory" in err and "MiB" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("metric", ["rand", "db", "silhouette", "purity"])
 def test_evaluate_label_metrics(workdir, metric):
     args = [

@@ -9,6 +9,7 @@ from eotmaps import (
     embed_from_model,
     embedding_cost,
     eot_eigenmaps,
+    preset,
     select_dimension,
     spectral_model,
     transport_plan,
@@ -192,6 +193,45 @@ def test_embedding_tied_values_warn():
     X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     with pytest.warns(RuntimeWarning, match="rotation"):
         eot_eigenmaps(X, X, q=1, epsilon=2.0)
+
+
+@pytest.fixture(scope="module")
+def large_pair():
+    """A 300 x 300 setting1 pair: q = 3 takes truncated_svd's subspace path."""
+    sim = preset("setting1", 300, 300, 300, 0, 8.0)
+    X, Y = sim.X.values, sim.Y.values
+    return X, Y, transport_plan(X, Y)
+
+
+def test_embedding_subspace_path_repeatable(large_pair, subspace_outcomes):
+    X, Y, _ = large_pair
+    first = eot_eigenmaps(X, Y, q=3)
+    second = eot_eigenmaps(X.copy(), Y.copy(), q=3)
+    assert subspace_outcomes == [True, True]
+    np.testing.assert_array_equal(first.Xt, second.Xt)
+    np.testing.assert_array_equal(first.Yt, second.Yt)
+    np.testing.assert_array_equal(first.s_used, second.s_used)
+
+
+def test_embedding_subspace_path_matches_full_model(large_pair, subspace_outcomes):
+    X, Y, plan = large_pair
+    emb = eot_eigenmaps(X, Y, q=3, plan=plan)
+    assert subspace_outcomes == [True]
+    full = embed_from_model(spectral_model(plan, k=plan.shape[0]), plan, q=3, t=0)
+    np.testing.assert_allclose(emb.Xt, full.Xt, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(emb.Yt, full.Yt, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(emb.s_used, full.s_used, rtol=0, atol=1e-10)
+
+
+def test_embedding_subspace_path_tied_values_warn(subspace_outcomes):
+    # 40 evenly spaced points on a circle give a circulant kernel whose
+    # second and third singular values coincide (the first Fourier pair);
+    # q = 1 asks for 3 triplets, which takes the subspace path.
+    theta = 2.0 * np.pi * np.arange(40) / 40
+    X = np.column_stack([np.cos(theta), np.sin(theta)])
+    with pytest.warns(RuntimeWarning, match="rotation"):
+        eot_eigenmaps(X, X, q=1)
+    assert subspace_outcomes == [True]
 
 
 def test_embed_from_model_matches_and_validates(pair):

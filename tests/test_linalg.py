@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from eotmaps import DataMatrix, DimensionError, InputError, truncated_svd
+import eotmaps.linalg as linalg
+from eotmaps import (
+    DataMatrix,
+    DimensionError,
+    InputError,
+    NumericalError,
+    preset,
+    transport_plan,
+    truncated_svd,
+)
 
 RNG = np.random.default_rng(20260817)
 
@@ -114,3 +123,54 @@ def test_data_matrix_validation():
         DataMatrix(np.empty((0, 3)))
     with pytest.raises(InputError):
         DataMatrix(np.array([[1.0, np.inf]]))
+
+
+@pytest.fixture(scope="module")
+def plans():
+    """Converged setting1 plans large enough for the subspace path at k = 5."""
+    square = preset("setting1", 300, 300, 300, 0, 8.0)
+    wide = preset("setting1", 300, 400, 300, 1, 8.0)
+    return {
+        "square": transport_plan(square.X.values, square.Y.values).W,
+        "wide": transport_plan(wide.X.values, wide.Y.values).W,
+    }
+
+
+@pytest.mark.parametrize("name,transpose", [("square", False), ("wide", False), ("wide", True)])
+def test_svd_subspace_path_matches_dense(plans, subspace_outcomes, name, transpose):
+    W = plans[name].T if transpose else plans[name]
+    s, U, V = truncated_svd(W, 5)
+    assert subspace_outcomes == [True]
+    s_full, U_full, V_full = truncated_svd(W, min(W.shape))
+    np.testing.assert_allclose(s, s_full[:5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(U, U_full[:, :5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(V, V_full[:, :5], rtol=0, atol=1e-10)
+
+
+def test_svd_subspace_path_deterministic(plans, subspace_outcomes):
+    first = truncated_svd(plans["square"], 5)
+    second = truncated_svd(plans["square"].copy(), 5)
+    assert subspace_outcomes == [True, True]
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_svd_clustered_values_fall_back_to_dense(subspace_outcomes):
+    # Leading values within 1e-3 of each other: the block converges at a
+    # rate of about (s_10 / s_5)^2 per step, far beyond the step budget.
+    rng = np.random.default_rng(5)
+    Uo = np.linalg.qr(rng.normal(size=(300, 300)))[0]
+    Vo = np.linalg.qr(rng.normal(size=(300, 300)))[0]
+    A = (Uo * (1.0 + 1e-3 * np.linspace(1.0, 0.0, 300))) @ Vo.T
+    s, U, V = truncated_svd(A, 5)
+    assert subspace_outcomes == [False]
+    s_full, U_full, V_full = truncated_svd(A, 300)
+    np.testing.assert_array_equal(s, s_full[:5])
+    np.testing.assert_array_equal(U, U_full[:, :5])
+    np.testing.assert_array_equal(V, V_full[:, :5])
+
+
+def test_svd_subspace_certificate_failure_raises(plans, monkeypatch):
+    monkeypatch.setattr(linalg, "_CERTIFICATE_TOL", 0.0)
+    with pytest.raises(NumericalError, match="residual"):
+        truncated_svd(plans["square"], 5)

@@ -211,6 +211,21 @@ def test_transport_plan_explicit_epsilon_and_validation():
         transport_plan(X, Y, max_iter=True)
 
 
+def test_transport_plan_out_of_memory_is_input_error(monkeypatch):
+    import eotmaps.transport as transport
+
+    def exhausted(A, B):
+        raise MemoryError
+
+    monkeypatch.setattr(transport, "squared_distance_matrix", exhausted)
+    X = RNG.normal(size=(6, 2))
+    Y = RNG.normal(size=(8, 2))
+    with pytest.raises(InputError, match=r"6 x 8 transport plan does not fit in memory.*MiB"):
+        transport_plan(X, Y)
+    with pytest.raises(InputError, match=r"8 x 6 transport plan"):
+        transport_plan(Y, X, epsilon=1.0)
+
+
 def test_transport_plan_identical_points_degenerate():
     X = np.zeros((4, 3))
     with pytest.raises(DegenerateBandwidthError):
