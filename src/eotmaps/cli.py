@@ -19,7 +19,8 @@ numerical failure (non-convergence, degenerate results, a failed SVD
 residual certificate).
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
-cap the BLAS thread pools before numpy loads.
+cap the BLAS thread pools before numpy loads; only the exception classes of
+``errors``, which import nothing, load up front.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ import csv
 import json
 import os
 import sys
+
+from .errors import (
+    ConvergenceError,
+    InputError,
+    InvariantError,
+    NumericalError,
+    PlanNotConvergedError,
+)
 
 SCHEMA_VERSION = 1
 _CONFIG_REQUIRED = {"schema_version", "name", "m", "n", "p", "seed"}
@@ -58,13 +67,13 @@ def _read_matrix(path: str):
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except OSError:
-        raise _CliInputError(f"cannot read {path}")
+        raise InputError(f"cannot read {path}")
     except ValueError as exc:
-        raise _CliInputError(f"{path} is not a numeric CSV matrix: {exc}")
+        raise InputError(f"{path} is not a numeric CSV matrix: {exc}")
     if arr.size == 0:
-        raise _CliInputError(f"{path} is empty")
+        raise InputError(f"{path} is empty")
     if not np.isfinite(arr).all():
-        raise _CliInputError(f"{path} contains non-finite values")
+        raise InputError(f"{path} contains non-finite values")
     return arr
 
 
@@ -80,7 +89,7 @@ def _read_labels(path: str):
     arr = _read_matrix(path)
     flat = arr.ravel()
     if not np.all(flat == np.round(flat)):
-        raise _CliInputError(f"{path} must contain integer labels")
+        raise InputError(f"{path} must contain integer labels")
     return flat.astype(np.int64)
 
 
@@ -108,15 +117,15 @@ def _read_embedding(path: str):
         with open(path) as fh:
             header = fh.readline().strip()
     except OSError:
-        raise _CliInputError(f"cannot read {path}")
+        raise InputError(f"cannot read {path}")
     if not header.startswith("dataset,point_index,coord_1"):
-        raise _CliInputError(f"{path} does not look like an embedding file (bad header)")
+        raise InputError(f"{path} does not look like an embedding file (bad header)")
     try:
         arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
     except ValueError as exc:
-        raise _CliInputError(f"{path} has malformed rows: {exc}")
+        raise InputError(f"{path} has malformed rows: {exc}")
     if arr.shape[1] < 3:
-        raise _CliInputError(f"{path} must have at least one coordinate column")
+        raise InputError(f"{path} must have at least one coordinate column")
     return arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2:]
 
 
@@ -127,38 +136,31 @@ def _write_spectrum(path: str, s):
             fh.write(f"{i},{_FLOAT_FMT % value}\n")
 
 
-class _CliInputError(Exception):
-    """Invalid input detected by the CLI layer itself (exit code 2)."""
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError:
-        raise _CliInputError(f"cannot read config {path}")
+        raise InputError(f"cannot read config {path}")
     except json.JSONDecodeError as exc:
-        raise _CliInputError(f"config {path} is not valid JSON: {exc}")
+        raise InputError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise _CliInputError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     unknown = set(cfg) - _CONFIG_REQUIRED - _CONFIG_OPTIONAL
     if unknown:
-        raise _CliInputError(f"config has unknown field(s): {', '.join(sorted(unknown))}")
+        raise InputError(f"config has unknown field(s): {', '.join(sorted(unknown))}")
     missing = _CONFIG_REQUIRED - set(cfg)
     if missing:
-        raise _CliInputError(f"config is missing field(s): {', '.join(sorted(missing))}")
+        raise InputError(f"config is missing field(s): {', '.join(sorted(missing))}")
     if cfg["schema_version"] != SCHEMA_VERSION:
-        raise _CliInputError(
+        raise InputError(
             f"unsupported schema_version {cfg['schema_version']!r} (expected {SCHEMA_VERSION})"
         )
     for field in ("m", "n", "p", "seed"):
         if not isinstance(cfg[field], int) or isinstance(cfg[field], bool):
-            raise _CliInputError(f"config field {field!r} must be an integer")
+            raise InputError(f"config field {field!r} must be an integer")
     if not isinstance(cfg["name"], str):
-        raise _CliInputError("config field 'name' must be a string")
-    if "param" in cfg:
-        if isinstance(cfg["param"], bool) or not isinstance(cfg["param"], (int, float)):
-            raise _CliInputError("config field 'param' must be a number")
+        raise InputError("config field 'name' must be a string")
     return cfg
 
 
@@ -168,7 +170,7 @@ def _parse_epsilon(text: str):
     try:
         return float(text)
     except ValueError:
-        raise _CliInputError(f'--epsilon must be a number or "median", got {text!r}')
+        raise InputError(f'--epsilon must be a number or "median", got {text!r}')
 
 
 def _parse_q(text: str):
@@ -177,7 +179,7 @@ def _parse_q(text: str):
     try:
         return int(text)
     except ValueError:
-        raise _CliInputError(f'--q must be an integer or "auto", got {text!r}')
+        raise InputError(f'--q must be an integer or "auto", got {text!r}')
 
 
 def cmd_simulate(args) -> int:
@@ -229,22 +231,22 @@ def cmd_evaluate(args) -> int:
     params: dict = {}
     if args.metric == "concordance":
         if not args.latent:
-            raise _CliInputError("metric 'concordance' needs --latent")
+            raise InputError("metric 'concordance' needs --latent")
         latent = _read_matrix(args.latent)
         value = metrics.jaccard_concordance(coords, latent, k=args.k)
         params["k"] = args.k
     else:
         if not args.labels:
-            raise _CliInputError(f"metric {args.metric!r} needs --labels")
+            raise InputError(f"metric {args.metric!r} needs --labels")
         labels = _read_labels(args.labels)
         if labels.shape[0] != coords.shape[0]:
-            raise _CliInputError(
+            raise InputError(
                 f"labels ({labels.shape[0]}) do not match embedding rows ({coords.shape[0]})"
             )
         if args.metric == "rand":
             clusters = args.clusters if args.clusters is not None else int(np.unique(labels).size)
             if clusters < 2:
-                raise _CliInputError("--clusters must be at least 2")
+                raise InputError("--clusters must be at least 2")
             predicted = metrics.kmeans(coords, clusters, seed=args.seed)
             value = metrics.rand_index(predicted, labels)
             params.update(clusters=clusters, seed=args.seed)
@@ -272,24 +274,24 @@ def _read_pairs(path: str):
         with open(path) as fh:
             rows = list(csv.reader(fh))
     except OSError:
-        raise _CliInputError(f"cannot read {path}")
+        raise InputError(f"cannot read {path}")
     if not rows or [c.strip() for c in rows[0]] != ["kind", "i", "j"]:
-        raise _CliInputError(f"{path} must start with header 'kind,i,j'")
+        raise InputError(f"{path} must start with header 'kind,i,j'")
     pairs = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
-            raise _CliInputError(f"{path}:{lineno}: expected 'kind,i,j'")
+            raise InputError(f"{path}:{lineno}: expected 'kind,i,j'")
         kind = row[0].strip()
         if kind not in ("XX", "YY", "XY"):
-            raise _CliInputError(f"{path}:{lineno}: kind must be XX, YY or XY, got {kind!r}")
+            raise InputError(f"{path}:{lineno}: kind must be XX, YY or XY, got {kind!r}")
         try:
             pairs.append((kind, int(row[1]), int(row[2])))
         except ValueError:
-            raise _CliInputError(f"{path}:{lineno}: indices must be integers")
+            raise InputError(f"{path}:{lineno}: indices must be integers")
     if not pairs:
-        raise _CliInputError(f"{path} lists no pairs")
+        raise InputError(f"{path} lists no pairs")
     return pairs
 
 
@@ -386,17 +388,9 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     _apply_threads(args.threads)
-    from .errors import (
-        ConvergenceError,
-        InputError,
-        InvariantError,
-        NumericalError,
-        PlanNotConvergedError,
-    )
-
     try:
         return args.handler(args)
-    except (_CliInputError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, NumericalError, PlanNotConvergedError, InvariantError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .embedding import SpectralModel
 from .errors import InputError
-from .linalg import check_int
+from .linalg import check_int, check_real
 
 _BLOCKS = ("XX", "XY", "YX", "YY")
 _KINDS = ("XX", "YY", "XY")
@@ -124,11 +124,9 @@ def truncation_bound(s_next: float, t: int, m: int, n: int, kind: str) -> float:
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
     check_int(t, "t", 1)
-    if not np.isfinite(s_next) or s_next < 0:
-        raise InputError(f"s_next must be a nonnegative number, got {s_next!r}")
-    if m < 1 or n < 1:
-        raise InputError("m and n must be positive")
-    factor = float(s_next) ** (2 * t)
+    m = check_int(m, "m", 1)
+    n = check_int(n, "n", 1)
+    factor = check_real(s_next, "s_next", 0) ** (2 * t)
     if kind == "XX":
         return 4.0 * m * factor
     if kind == "YY":

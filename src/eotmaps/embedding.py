@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, InputError, PlanNotConvergedError
-from .linalg import check_int, truncated_svd
+from .linalg import check_int, check_real, truncated_svd
 from .transport import TransportPlan, transport_plan
 
 DEFAULT_GAP_THRESHOLD = 0.02
@@ -34,14 +34,15 @@ _TIE_TOL = 1e-12
 class SpectralModel:
     """Leading singular triplets of a plan, with the trivial pair certified.
 
-    ``s`` is descending with s[0] == 1 up to the certification tolerance;
-    U and V carry the matching singular vectors as columns.
+    Only :func:`spectral_model` builds one, and it raises instead of
+    returning an uncertified model: ``s`` is descending with s[0] == 1 and
+    the first columns of U and V are the constant vectors, both within 1e-6.
+    The signs follow :func:`eotmaps.linalg.truncated_svd`.
     """
 
     s: np.ndarray  # (k,)
     U: np.ndarray  # (m, k)
     V: np.ndarray  # (n, k)
-    trivial_certified: bool
 
 
 class DimensionSelection(NamedTuple):
@@ -75,8 +76,6 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
     m, n = plan.shape
-    k = check_int(k, "k", 1, min(m, n))
-
     s, U, V = truncated_svd(plan.W, k)
     if abs(s[0] - 1.0) > _LEADING_VALUE_TOL:
         raise PlanNotConvergedError(
@@ -89,7 +88,7 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
         raise PlanNotConvergedError(
             f"leading singular vectors deviate from the constant pair by {max(du, dv):.3e}"
         )
-    return SpectralModel(s=s, U=U, V=V, trivial_certified=True)
+    return SpectralModel(s=s, U=U, V=V)
 
 
 def select_dimension(s, threshold: float = DEFAULT_GAP_THRESHOLD) -> DimensionSelection:
@@ -108,8 +107,7 @@ def select_dimension(s, threshold: float = DEFAULT_GAP_THRESHOLD) -> DimensionSe
         raise InputError("s contains non-finite values")
     if (s < 0).any() or (np.diff(s) > 0).any():
         raise InputError("s must be nonnegative and non-increasing")
-    if not np.isfinite(threshold) or threshold <= 0:
-        raise InputError(f"threshold must be positive, got {threshold!r}")
+    threshold = check_real(threshold, "threshold", 0, strict=True)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = s[:-1] / s[1:]

@@ -8,27 +8,29 @@ through ``truncated_svd``, so its conventions are pinned once:
   identical;
 * the sign of each left singular vector is fixed by making its
   largest-magnitude entry positive (first such entry on ties), and the
-  right vector is then aligned so that ``u^T A v >= 0``.
+  right vector flips with it, so ``u^T A v = s >= 0`` holds by
+  construction on both paths.
 
 ``truncated_svd`` has two paths.  When few triplets are asked for
 (4 * (k + 4) <= min(m, n)) it runs block subspace iteration (Halko,
 Martinsson & Tropp 2011, "Finding structure with randomness", SIAM Review)
 from a fixed Philox start block and certifies every returned triplet by
 its two-sided residual; an iteration budget tied to the cost of a dense SVD
-sends slowly converging inputs to the dense path.  Otherwise it runs a
-full dense SVD and slices it.
+sends slowly converging inputs to the dense path.  Otherwise it runs one
+thin dense SVD of the wide orientation and slices it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError
 
-# Singular values at or below this are treated as numerically zero when a
-# sign can no longer be inferred from u^T A v.
+# Singular values at or below this are numerically zero: u^T A v carries no
+# sign there, so v gets its own largest-entry rule.
 SINGULAR_FLOOR = 1e-12
 
 # Block subspace iteration: the block holds k + _OVERSAMPLE vectors and runs
@@ -56,6 +58,25 @@ def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
         span = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
         raise DimensionError(f"{name} must be {span}, got {value}")
     return int(value)
+
+
+def check_real(value, name: str, lo: float | None = None, strict: bool = False) -> float:
+    """Return ``value`` as a float after checking it is a finite real >= lo.
+
+    Bools (Python or numpy), non-numbers and non-finite values raise
+    InputError, as does a value below ``lo``, or equal to it when ``strict``.
+    ``lo=None`` leaves the range open below.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = np.inf
+    if not np.isfinite(value) or (lo is not None and (value <= lo if strict else value < lo)):
+        bound = "" if lo is None else f" {'>' if strict else '>='} {lo:g}"
+        raise InputError(f"{name} must be a finite number{bound}, got {value!r}")
+    return value
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -92,14 +113,16 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def _fix_singular_signs(A: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray):
+def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
     """Apply the deterministic sign convention in place.
 
     For each triplet the entry of u with the largest magnitude is made
-    positive (u and v flip together, preserving the pair).  When s is above
-    SINGULAR_FLOOR the pair already satisfies u^T A v = s >= 0; below it the
-    residual product carries no sign information, so v gets the
-    largest-entry rule independently.
+    positive, and v flips with u.  Both paths hand over pairs with
+    u^T A v = s >= 0 (the dense SVD factors A = U S V^T; the subspace
+    triplets come from the SVD of P^T A Q and pass the two-sided
+    certificate), and a joint flip keeps that product, so no check against
+    A is needed.  At or below SINGULAR_FLOOR the product carries no sign
+    information, so v gets the largest-entry rule independently.
     """
     k = s.size
     idx = np.argmax(np.abs(U), axis=0)
@@ -112,10 +135,6 @@ def _fix_singular_signs(A: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarr
         idx = np.argmax(np.abs(Vd), axis=0)
         vflips = np.where(Vd[idx, np.arange(Vd.shape[1])] < 0, -1.0, 1.0)
         V[:, degenerate] *= vflips
-    else:
-        # Defensive: realign any pair whose product came out negative.
-        d = np.einsum("ij,ij->j", U, A @ V)
-        V *= np.where(d < 0, -1.0, 1.0)
 
 
 def _subspace_svd(A: np.ndarray, k: int):
@@ -191,9 +210,10 @@ def truncated_svd(A, k: int):
     they are returned, both ||A v - s u|| and ||A^T u - s v|| must be at most
     1e-10 * s_1, else NumericalError is raised.  If the iteration has not
     stopped within the flop budget of a dense SVD (clustered leading
-    values), or k is larger, a full dense SVD is sliced instead.  Signs
-    follow the module convention on both paths, so results are reproducible
-    bit-for-bit on identical input.
+    values), or k is larger, one thin dense SVD of A (or of A^T when A is
+    tall) is sliced instead.  Signs follow the module convention on
+    both paths, so u^T A v = s >= 0 holds by construction and results are
+    reproducible bit-for-bit on identical input.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
@@ -203,17 +223,14 @@ def truncated_svd(A, k: int):
     if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
         triplets = _subspace_svd(A, k)
     if triplets is None:
-        if m <= n:
-            U_full, s_full, Vt_full = np.linalg.svd(A, full_matrices=False)
-            V_full = Vt_full.T
-        else:
-            # Work on the transpose so the small side drives the decomposition,
-            # then swap the factors back.
-            V_full, s_full, Ut_full = np.linalg.svd(A.T, full_matrices=False)
-            U_full = Ut_full.T
+        # One call on the wide orientation.  Tall inputs (pca_embed's data
+        # matrices) go through A^T: a direct tall call rounds exact ties in
+        # |u| differently, which changes the sign the tie rule picks.
+        L, s_full, Rt = np.linalg.svd(A if m <= n else A.T, full_matrices=False)
+        U_full, V_full = (L, Rt.T) if m <= n else (Rt.T, L)
         triplets = (s_full[:k], U_full[:, :k], V_full[:, :k])
     s, U, V = (np.ascontiguousarray(x) for x in triplets)
-    _fix_singular_signs(A, s, U, V)
+    _fix_singular_signs(s, U, V)
 
     if not (np.isfinite(s).all() and np.isfinite(U).all() and np.isfinite(V).all()):
         raise NumericalError("SVD produced non-finite factors")

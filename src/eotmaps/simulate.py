@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix, check_int
+from .linalg import DataMatrix, check_int, check_real
 
 _ROLE_LATENT = 0
 _ROLE_NUISANCE = 1
@@ -105,8 +105,9 @@ class UniformNuisance:
     high: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.low) and np.isfinite(self.high)) or self.low > self.high:
-            raise InputError(f"need finite low <= high, got [{self.low}, {self.high}]")
+        low = check_real(self.low, "low")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", check_real(self.high, "high", low))
 
     def sample(self, rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=(count, dim))
@@ -119,11 +120,10 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise InputError(f"sigma must be a nonnegative number, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0))
 
     def std_map(self, count: int, p: int) -> np.ndarray:
-        return np.full((count, p), float(self.sigma))
+        return np.full((count, p), self.sigma)
 
     def sample(self, rng: np.random.Generator, count: int, p: int) -> np.ndarray:
         return rng.standard_normal((count, p)) * self.std_map(count, p)
@@ -144,12 +144,11 @@ class BandedGaussianNoise:
     r: int
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise InputError(f"sigma must be a nonnegative number, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0))
         check_int(self.r, "r", 1)
 
     def std_map(self, count: int, p: int) -> np.ndarray:
-        std = np.full((count, p), float(self.sigma))
+        std = np.full((count, p), self.sigma)
         j = np.arange(1, count + 1)[:, None]
         k = np.arange(1, p + 1)[None, :]
         band1 = (j <= count // 3) & (k >= 2) & (k <= self.r)
@@ -204,10 +203,7 @@ class ObservationModelConfig:
                 raise InputError(f"{name} must be a finite vector of length p={self.p}")
             object.__setattr__(self, name, nu)
         for name in ("a1", "a2"):
-            a = float(getattr(self, name))
-            if not np.isfinite(a) or a <= 0:
-                raise InputError(f"{name} must be a positive number, got {a!r}")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, check_real(getattr(self, name), name, 0, strict=True))
         U = np.asarray(self.U_basis, dtype=float)
         V1 = np.asarray(self.V1_basis, dtype=float)
         V2 = np.asarray(self.V2_basis, dtype=float)
@@ -308,9 +304,7 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
         raise InputError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     check_int(m, "m", 1)
     check_int(n, "n", 1)
-    param = float(param)
-    if not np.isfinite(param) or param <= 0:
-        raise InputError(f"param must be a positive number, got {param!r}")
+    param = check_real(param, "param", 0, strict=True)
 
     r = 6 if name == "clustering" else 3
     check_int(p, "p", r + 1)

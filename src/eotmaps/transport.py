@@ -23,7 +23,7 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .linalg import DataMatrix, as_matrix, check_int
+from .linalg import DataMatrix, as_matrix, check_int, check_real
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -131,8 +131,7 @@ def sinkhorn(
     """
     logK = as_matrix(logK, "logK")
     m, n = logK.shape
-    if not (np.isscalar(tol) and np.isfinite(tol)) or tol <= 0:
-        raise InputError(f"tol must be a positive number, got {tol!r}")
+    tol = check_real(tol, "tol", 0, strict=True)
     max_iter = check_int(max_iter, "max_iter", 1)
 
     log_row_target = 0.5 * (np.log(n) - np.log(m))
@@ -215,9 +214,7 @@ def transport_plan(
         if epsilon != "median":
             raise InputError(f'epsilon must be a positive number or "median", got {epsilon!r}')
     else:
-        eps = float(epsilon)
-        if not np.isfinite(eps) or eps <= 0:
-            raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
+        eps = check_real(epsilon, "epsilon", 0, strict=True)
 
     swapped = X.shape[0] > Y.shape[0]
     A, B = (Y, X) if swapped else (X, Y)

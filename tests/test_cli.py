@@ -92,6 +92,16 @@ def test_simulate_clustering_labels_are_classes(tmp_path):
     assert set(labels.tolist()) <= set(range(6))
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads only takes effect if numpy loads after it is applied.
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, eotmaps.cli; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+
+
 @pytest.mark.parametrize(
     "mutation,needle",
     [

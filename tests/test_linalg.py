@@ -147,6 +147,22 @@ def test_svd_subspace_path_matches_dense(plans, subspace_outcomes, name, transpo
     np.testing.assert_allclose(V, V_full[:, :5], rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "transpose,k,subspace",
+    [(False, 300, []), (True, 300, []), (False, 5, [True])],
+    ids=["dense-wide", "dense-tall", "subspace"],
+)
+def test_svd_signs_give_positive_products(plans, subspace_outcomes, transpose, k, subspace):
+    # The sign rule never evaluates u^T A v, so the factorization itself
+    # must hand over positive products, down to values near 1e-8 * s_1 that
+    # the residual checks cannot tell apart from a flipped pair.
+    W = plans["wide"].T if transpose else plans["wide"]
+    s, U, V = truncated_svd(W, k)
+    assert subspace_outcomes == subspace
+    products = np.einsum("ij,ij->j", U, W @ V)
+    assert np.all(products[s > linalg.SINGULAR_FLOOR] > 0)
+
+
 def test_svd_subspace_path_deterministic(plans, subspace_outcomes):
     first = truncated_svd(plans["square"], 5)
     second = truncated_svd(plans["square"].copy(), 5)

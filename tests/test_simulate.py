@@ -62,6 +62,14 @@ def test_noise_validation():
         BandedGaussianNoise(1.0, 0)
     with pytest.raises(InputError):
         UniformNuisance(2.0, 1.0)
+    with pytest.raises(InputError):
+        UniformNuisance(True, 1.0)
+    with pytest.raises(InputError):
+        GaussianNoise(True)
+    with pytest.raises(InputError):
+        GaussianNoise("x")
+    with pytest.raises(InputError):
+        BandedGaussianNoise(np.bool_(True), 2)
 
 
 def test_torus_sample_lies_on_torus():
@@ -191,6 +199,10 @@ def test_config_validation():
     with pytest.raises(InputError):
         small_config(a1=0.0)
     with pytest.raises(InputError):
+        small_config(a2=True)
+    with pytest.raises(InputError):
+        small_config(a2="3")
+    with pytest.raises(InputError):
         small_config(r=5)
     with pytest.raises(InputError):
         small_config(seed=-1)
@@ -263,5 +275,9 @@ def test_preset_validation():
         preset("setting1", m=5, n=5, p=6, seed=0, param=0.0)
     with pytest.raises(InputError):
         preset("setting1", True, 5, 10, 0)
+    with pytest.raises(InputError):
+        preset("setting1", m=5, n=5, p=6, seed=0, param=True)
+    with pytest.raises(InputError):
+        preset("setting1", m=5, n=5, p=6, seed=0, param=10**400)
     with pytest.raises(InputError):
         sample_torus(True, 0)

@@ -146,6 +146,8 @@ def test_sinkhorn_rejects_bad_input():
         sinkhorn(np.zeros((2, 2)), tol=0.0)
     with pytest.raises(InputError):
         sinkhorn(np.zeros((2, 2)), max_iter=0)
+    with pytest.raises(InputError):
+        sinkhorn(np.zeros((2, 2)), tol=True)
 
 
 def test_sinkhorn_extreme_kernel_stays_finite():
@@ -209,6 +211,12 @@ def test_transport_plan_explicit_epsilon_and_validation():
         transport_plan(X, np.ones((8, 3)))
     with pytest.raises(InputError):
         transport_plan(X, Y, max_iter=True)
+    with pytest.raises(InputError):
+        transport_plan(X, Y, tol=True)
+    with pytest.raises(InputError):
+        transport_plan(X, Y, epsilon=True)
+    with pytest.raises(InputError):
+        transport_plan(X, Y, epsilon=None)
 
 
 def test_transport_plan_out_of_memory_is_input_error(monkeypatch):
