@@ -14,9 +14,9 @@ File conventions
 * evaluate writes JSON ``{"metric": ..., "value": ..., "params": {...}}``.
 
 Exit codes: 0 success; 2 invalid input (bad flags, malformed files or
-config, shape mismatches, a transport plan too large for memory); 3
-numerical failure (non-convergence, degenerate results, a failed SVD
-residual certificate).
+config, shape mismatches, a transport plan or its dense SVD too large for
+memory); 3 numerical failure (non-convergence, degenerate results, a failed
+SVD residual certificate).
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 cap the BLAS thread pools before numpy loads; only the exception classes of

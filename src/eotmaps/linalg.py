@@ -32,6 +32,9 @@ from .errors import DimensionError, InputError, NumericalError
 # Singular values at or below this are numerically zero: u^T A v carries no
 # sign there, so v gets its own largest-entry rule.
 SINGULAR_FLOOR = 1e-12
+# Entries within this relative distance of a column's largest magnitude are
+# tied for the sign rule: exact ties come out of LAPACK a few ulps apart.
+_TIE_TOL = 1e-12
 
 # Block subspace iteration: the block holds k + _OVERSAMPLE vectors and runs
 # only when min(m, n) is at least _SUBSPACE_RATIO block widths.
@@ -117,24 +120,27 @@ def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
     """Apply the deterministic sign convention in place.
 
     For each triplet the entry of u with the largest magnitude is made
-    positive, and v flips with u.  Both paths hand over pairs with
-    u^T A v = s >= 0 (the dense SVD factors A = U S V^T; the subspace
-    triplets come from the SVD of P^T A Q and pass the two-sided
+    positive, and v flips with u; entries within a relative _TIE_TOL of that
+    magnitude count as tied, and the first of them decides.  Both paths hand
+    over pairs with u^T A v = s >= 0 (the dense SVD factors A = U S V^T; the
+    subspace triplets come from the SVD of P^T A Q and pass the two-sided
     certificate), and a joint flip keeps that product, so no check against
     A is needed.  At or below SINGULAR_FLOOR the product carries no sign
     information, so v gets the largest-entry rule independently.
     """
-    k = s.size
-    idx = np.argmax(np.abs(U), axis=0)
-    flips = np.where(U[idx, np.arange(k)] < 0, -1.0, 1.0)
+    flips = _largest_entry_signs(U)
     U *= flips
     V *= flips
     degenerate = s <= SINGULAR_FLOOR
     if degenerate.any():
-        Vd = V[:, degenerate]
-        idx = np.argmax(np.abs(Vd), axis=0)
-        vflips = np.where(Vd[idx, np.arange(Vd.shape[1])] < 0, -1.0, 1.0)
-        V[:, degenerate] *= vflips
+        V[:, degenerate] *= _largest_entry_signs(V[:, degenerate])
+
+
+def _largest_entry_signs(M: np.ndarray) -> np.ndarray:
+    """Per column, the sign of the first entry whose magnitude ties the largest."""
+    mags = np.abs(M)
+    idx = np.argmax(mags >= (1.0 - _TIE_TOL) * mags.max(axis=0), axis=0)
+    return np.where(M[idx, np.arange(M.shape[1])] < 0, -1.0, 1.0)
 
 
 def _subspace_svd(A: np.ndarray, k: int):
@@ -211,7 +217,8 @@ def truncated_svd(A, k: int):
     1e-10 * s_1, else NumericalError is raised.  If the iteration has not
     stopped within the flop budget of a dense SVD (clustered leading
     values), or k is larger, one thin dense SVD of A (or of A^T when A is
-    tall) is sliced instead.  Signs follow the module convention on
+    tall) is sliced instead; running out of memory there raises InputError
+    naming the size.  Signs follow the module convention on
     both paths, so u^T A v = s >= 0 holds by construction and results are
     reproducible bit-for-bit on identical input.
     """
@@ -223,10 +230,15 @@ def truncated_svd(A, k: int):
     if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
         triplets = _subspace_svd(A, k)
     if triplets is None:
-        # One call on the wide orientation.  Tall inputs (pca_embed's data
-        # matrices) go through A^T: a direct tall call rounds exact ties in
-        # |u| differently, which changes the sign the tie rule picks.
-        L, s_full, Rt = np.linalg.svd(A if m <= n else A.T, full_matrices=False)
+        # One call on the wide orientation (A^T for tall inputs such as
+        # pca_embed's data matrices).
+        try:
+            L, s_full, Rt = np.linalg.svd(A if m <= n else A.T, full_matrices=False)
+        except MemoryError as exc:
+            raise InputError(
+                f"the dense SVD of a {m} x {n} matrix does not fit in memory "
+                f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
+            ) from exc
         U_full, V_full = (L, Rt.T) if m <= n else (Rt.T, L)
         triplets = (s_full[:k], U_full[:, :k], V_full[:, :k])
     s, U, V = (np.ascontiguousarray(x) for x in triplets)

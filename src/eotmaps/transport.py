@@ -8,7 +8,9 @@ over nonnegative matrices whose rows each sum to sqrt(n/m) and whose columns
 each sum to sqrt(m/n) (so the total mass is sqrt(m*n)).  The minimizer
 factorizes as W_ij = alpha_i * K_ij * beta_j with K = exp(-||x_i-y_j||^2 /
 epsilon); ``sinkhorn`` computes the scalings by alternate marginal matching
-in the log domain, which stays stable for small bandwidths.
+in the log domain, which stays stable for small bandwidths.  Each half-sweep
+is one max-stabilized log-sum-exp in a single reused m x n buffer, and the
+stopping residual is read from the duals, so W is built once, at the end.
 """
 
 from __future__ import annotations
@@ -108,6 +110,19 @@ def _logsumexp_rows(M: np.ndarray) -> np.ndarray:
     return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True))).ravel()
 
 
+def _half_sweep(logK, dual, axis, log_target, buf) -> np.ndarray:
+    """log_target - log(sum(exp(logK + dual), axis)), one exponential in ``buf``.
+
+    ``dual`` broadcasts against logK along the other axis; the max-stabilized
+    log-sum-exp overwrites ``buf`` (shape of logK) and allocates nothing m x n.
+    """
+    np.add(logK, dual, out=buf)
+    mx = buf.max(axis=axis, keepdims=True)
+    np.subtract(buf, mx, out=buf)
+    np.exp(buf, out=buf)
+    return log_target - (mx + np.log(buf.sum(axis=axis, keepdims=True))).ravel()
+
+
 def sinkhorn(
     logK,
     tol: float = DEFAULT_TOL,
@@ -128,6 +143,14 @@ def sinkhorn(
     Returns
     -------
     TransportPlan with scalings normalized so ||alpha||_1 == ||beta||_1.
+
+    Each half-sweep is one max-stabilized log-sum-exp of logK plus a dual,
+    computed in place in a single m x n buffer (rows reduce along axis 1,
+    columns along axis 0 of the same logK).  After the column update the
+    column sums are exact up to rounding, and the relative row violation of
+    the current duals (f, g) is |exp(f - f_next) - 1|, where f_next is the
+    next row update, so the residual is read from the duals and W is built
+    only once, into the same buffer, after convergence.
     """
     logK = as_matrix(logK, "logK")
     m, n = logK.shape
@@ -139,22 +162,18 @@ def sinkhorn(
     row_target = np.exp(log_row_target)
     col_target = np.exp(log_col_target)
 
-    f = np.zeros(m)
+    buf = np.empty((m, n))
     g = np.zeros(n)
-    W = None
-    residual_rel = np.inf
+    f = _half_sweep(logK, g, 1, log_row_target, buf)
     for sweep in range(1, max_iter + 1):
-        f = log_row_target - _logsumexp_rows(logK + g[None, :])
-        g = log_col_target - _logsumexp_rows(logK.T + f[None, :])
-        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        g = _half_sweep(logK, f[:, None], 0, log_col_target, buf)
+        f_next = _half_sweep(logK, g, 1, log_row_target, buf)
+        if not (np.isfinite(f_next).all() and np.isfinite(g).all()):
             raise NumericalError("Sinkhorn scalings became non-finite")
-        W = np.exp(f[:, None] + logK + g[None, :])
-        residual_rel = max(
-            np.abs(W.sum(axis=1) / row_target - 1.0).max(),
-            np.abs(W.sum(axis=0) / col_target - 1.0).max(),
-        )
+        residual_rel = np.abs(np.expm1(f - f_next)).max()
         if residual_rel <= tol:
             break
+        f = f_next
     else:
         raise ConvergenceError(
             f"Sinkhorn did not reach tol={tol:g} in {max_iter} sweeps "
@@ -162,12 +181,14 @@ def sinkhorn(
             residual=float(residual_rel),
         )
 
-    # Balance the scalings (||alpha||_1 == ||beta||_1) without touching W:
-    # shift the duals by +/- the same constant and rebuild W from them.
+    # Balance the scalings (||alpha||_1 == ||beta||_1): shifting the duals by
+    # +/- the same constant leaves W unchanged.  Then build W from them.
     shift = 0.5 * (_logsumexp_rows(g[None, :]) - _logsumexp_rows(f[None, :]))[0]
     f = f + shift
     g = g - shift
-    W = np.exp(f[:, None] + logK + g[None, :])
+    W = np.add(f[:, None], logK, out=buf)
+    np.add(W, g, out=W)
+    np.exp(W, out=W)
     if (W <= 0).any():
         raise NumericalError(
             "plan entries underflowed to zero; the kernel's dynamic range is too "
@@ -222,7 +243,8 @@ def transport_plan(
         D2 = squared_distance_matrix(A, B)
         if isinstance(epsilon, str):
             eps = median_bandwidth(D2)
-        plan = sinkhorn(-D2 / eps, tol=tol, max_iter=max_iter, epsilon=eps)
+        logK = np.divide(D2, -eps, out=D2)  # in place; the same bits as -D2 / eps
+        plan = sinkhorn(logK, tol=tol, max_iter=max_iter, epsilon=eps)
     except MemoryError as exc:
         m, n = X.shape[0], Y.shape[0]
         raise InputError(

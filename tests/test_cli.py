@@ -257,6 +257,30 @@ def test_embed_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["embed", "distances"])
+def test_dense_svd_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys, command):
+    from eotmaps import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    # the CLI factors the 8 x 10 plan with all 8 triplets: the dense path
+    monkeypatch.setattr(np.linalg, "svd", exhausted)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\n")
+    outputs = {
+        "embed": ["--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv")],
+        "distances": ["--t", "1", "--pairs", str(pairs), "--out", str(tmp_path / "d.csv")],
+    }[command]
+    code = cli.main([
+        command, "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"), *outputs,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dense SVD of a 8 x 10 matrix does not fit in memory" in err and "MiB" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("metric", ["rand", "db", "silhouette", "purity"])
 def test_evaluate_label_metrics(workdir, metric):
     args = [

@@ -44,6 +44,18 @@ def test_svd_sign_convention_negative_diagonal():
     np.testing.assert_allclose(V[:, 1], [1.0, 0.0], atol=0)
 
 
+def test_sign_rule_takes_first_of_near_tied_entries():
+    # an exact tie in |u| that LAPACK rounded a few ulps apart: the first
+    # entry decides, so u flips (and v with it) although |u_3| is larger.
+    s = np.array([1.0])
+    U = np.array([[-0.4999999999999999], [-0.4999999999999999], [0.5], [0.5]])
+    V = np.array([[0.6], [-0.8]])
+    linalg._fix_singular_signs(s, U, V)
+    assert U[0, 0] > 0
+    np.testing.assert_array_equal(U[:, 0], [0.4999999999999999, 0.4999999999999999, -0.5, -0.5])
+    np.testing.assert_array_equal(V[:, 0], [-0.6, 0.8])
+
+
 @pytest.mark.parametrize("m,n", [(5, 7), (7, 5), (6, 6), (1, 4), (9, 3)])
 def test_svd_invariants_random(m, n):
     A = RNG.normal(size=(m, n))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from eotmaps import (
     InputError,
     NumericalError,
     median_bandwidth,
+    preset,
     sinkhorn,
     squared_distance_matrix,
     transport_plan,
@@ -28,6 +31,33 @@ def marginal_residual(W):
     row = np.abs(W.sum(axis=1) / row_target(m, n) - 1.0).max()
     col = np.abs(W.sum(axis=0) / col_target(m, n) - 1.0).max()
     return max(row, col)
+
+
+def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000):
+    """The straightforward sweep: three m x n exponentials, W rebuilt each time.
+
+    Returns the balanced plan W and the number of full sweeps.
+    """
+
+    def lse_rows(M):
+        mx = M.max(axis=1, keepdims=True)
+        return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True))).ravel()
+
+    m, n = logK.shape
+    log_row = 0.5 * (np.log(n) - np.log(m))
+    g = np.zeros(n)
+    for sweep in range(1, max_iter + 1):
+        f = log_row - lse_rows(logK + g[None, :])
+        g = -log_row - lse_rows(logK.T + f[None, :])
+        W = np.exp(f[:, None] + logK + g[None, :])
+        residual = max(
+            np.abs(W.sum(axis=1) / row_target(m, n) - 1.0).max(),
+            np.abs(W.sum(axis=0) / col_target(m, n) - 1.0).max(),
+        )
+        if residual <= tol:
+            break
+    shift = 0.5 * (lse_rows(g[None, :]) - lse_rows(f[None, :]))[0]
+    return np.exp((f + shift)[:, None] + logK + (g - shift)[None, :]), sweep
 
 
 def test_squared_distance_hand_oracle():
@@ -106,6 +136,52 @@ def test_sinkhorn_marginals_random(m, n):
     assert plan.marginal_residual <= 1e-11 * max(row_target(m, n), col_target(m, n))
     assert np.all(plan.W > 0)
     assert plan.iterations >= 1
+
+
+@pytest.mark.parametrize("m,n,scale", [(5, 5, 1.0), (6, 11, 3.0), (13, 7, 1.0), (40, 60, 5.0)])
+def test_sinkhorn_matches_three_exponential_oracle(m, n, scale):
+    logK = RNG.normal(size=(m, n)) * scale
+    plan = sinkhorn(logK)
+    W, sweeps = oracle_sinkhorn(logK)
+    assert plan.iterations == sweeps
+    np.testing.assert_allclose(plan.W, W, rtol=1e-14, atol=0)
+
+
+def test_transport_plan_matches_oracle_on_swapped_sharp_plan():
+    pair = preset("clustering", 90, 40, 20, 4, 1.0)
+    X, Y = pair.X.values, pair.Y.values
+    eps = median_bandwidth(squared_distance_matrix(X, Y)) / 100.0
+    plan = transport_plan(X, Y, epsilon=eps)
+    assert plan.swapped and plan.shape == (40, 90)
+    W, sweeps = oracle_sinkhorn(-squared_distance_matrix(Y, X) / eps)
+    assert sweeps > 10
+    assert plan.iterations == sweeps
+    np.testing.assert_allclose(plan.W, W, rtol=1e-14, atol=0)
+
+
+def traced_peak(call):
+    """Bytes allocated at the peak of ``call()`` beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_bounded():
+    m, n = 300, 400
+    one = m * n * 8  # bytes of one m x n float64 array
+    X = RNG.normal(size=(m, 5))
+    Y = RNG.normal(size=(n, 5))
+    logK = -squared_distance_matrix(X, Y) / 0.5
+    # a first call loads numpy internals lazily, which tracemalloc counts too
+    sinkhorn(logK)
+    transport_plan(X, Y)
+    assert traced_peak(lambda: sinkhorn(logK)) <= 1.5 * one
+    assert traced_peak(lambda: transport_plan(X, Y)) <= 2.5 * one
 
 
 def test_sinkhorn_scaling_structure():
