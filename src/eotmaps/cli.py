@@ -202,7 +202,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
+def _plan_and_model(args):
+    """Read X and Y, solve their plan, and return it with all its triplets."""
     from . import embedding, transport
 
     X = _read_matrix(args.in_x)
@@ -210,7 +211,13 @@ def cmd_embed(args) -> int:
     plan = transport.transport_plan(
         X, Y, epsilon=_parse_epsilon(args.epsilon), tol=args.tol, max_iter=args.max_iter
     )
-    model = embedding.spectral_model(plan, k=plan.shape[0])
+    return plan, embedding.spectral_model(plan, k=min(plan.shape))
+
+
+def cmd_embed(args) -> int:
+    from . import embedding
+
+    plan, model = _plan_and_model(args)
     emb = embedding.embed_from_model(model, plan, q=_parse_q(args.q), t=args.t)
     _write_embedding(args.out_embedding, emb.Xt, emb.Yt)
     _write_spectrum(args.out_spectrum, model.s)
@@ -296,26 +303,21 @@ def _read_pairs(path: str):
 
 
 def cmd_distances(args) -> int:
-    from . import diffusion, embedding, transport
+    import numpy as np
 
-    X = _read_matrix(args.in_x)
-    Y = _read_matrix(args.in_y)
+    from . import diffusion
+
     pairs = _read_pairs(args.pairs)
-    plan = transport.transport_plan(
-        X, Y, epsilon=_parse_epsilon(args.epsilon), tol=args.tol, max_iter=args.max_iter
-    )
-    model = embedding.spectral_model(plan, k=plan.shape[0])
+    _, model = _plan_and_model(args)
     ctx = diffusion.DiffusionContext(model=model, t=args.t)
+    kinds, i, j = (np.array(column) for column in zip(*pairs))
+    values = np.empty(len(pairs))
+    for kind in ("XX", "YY", "XY"):
+        rows = kinds == kind
+        values[rows] = diffusion.diffusion_distance(ctx, kind, i[rows], j[rows])
     with open(args.out, "w") as fh:
         fh.write("kind,i,j,distance\n")
-        for kind, i, j in pairs:
-            if plan.swapped:
-                # The stored plan is (Y, X): swap the roles when querying.
-                stored_kind = {"XX": "YY", "YY": "XX", "XY": "XY"}[kind]
-                si, sj = (j, i) if kind == "XY" else (i, j)
-            else:
-                stored_kind, si, sj = kind, i, j
-            value = diffusion.diffusion_distance(ctx, stored_kind, si, sj)
+        for (kind, i, j), value in zip(pairs, values):
             fh.write(f"{kind},{i},{j},{_FLOAT_FMT % value}\n")
     return 0
 
@@ -346,14 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("embed", help="compute the joint transport embedding")
-    p.add_argument("--in-x", required=True)
-    p.add_argument("--in-y", required=True)
+    plan_args = argparse.ArgumentParser(add_help=False)
+    plan_args.add_argument("--in-x", required=True)
+    plan_args.add_argument("--in-y", required=True)
+    plan_args.add_argument("--epsilon", default="median", help='kernel bandwidth or "median" (default)')
+    plan_args.add_argument("--tol", type=float, default=1e-10)
+    plan_args.add_argument("--max-iter", type=int, default=10000)
+
+    p = sub.add_parser("embed", parents=[plan_args], help="compute the joint transport embedding")
     p.add_argument("--q", default="auto", help='embedding dimension or "auto" (default)')
     p.add_argument("--t", type=int, default=0, help="diffusion time (default 0)")
-    p.add_argument("--epsilon", default="median", help='kernel bandwidth or "median" (default)')
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--out-embedding", required=True)
     p.add_argument("--out-spectrum", required=True)
     p.set_defaults(handler=cmd_embed)
@@ -369,13 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output JSON path, or - for stdout")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("distances", help="diffusion distances for listed vertex pairs")
-    p.add_argument("--in-x", required=True)
-    p.add_argument("--in-y", required=True)
-    p.add_argument("--epsilon", default="median")
+    p = sub.add_parser(
+        "distances", parents=[plan_args], help="diffusion distances for listed vertex pairs"
+    )
     p.add_argument("--t", type=int, required=True, help="diffusion time (positive integer)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--pairs", required=True, help="CSV with header kind,i,j")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_distances)

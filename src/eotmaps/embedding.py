@@ -1,8 +1,9 @@
 """Joint spectral embeddings built from a transport plan's singular triplets.
 
-A converged plan W (m <= n orientation) has the all-ones pair as its leading
-singular triplet: s_1 = 1 with u_1 = 1/sqrt(m) and v_1 = 1/sqrt(n).  The
-coordinates that align the two clouds come from the next q triplets:
+A converged plan W between m points of X and n points of Y has the all-ones
+pair as its leading singular triplet: s_1 = 1 with u_1 = 1/sqrt(m) and
+v_1 = 1/sqrt(n).  The coordinates that align the two clouds come from the
+next q triplets:
 
     x~_i[k] = sqrt(m) * s_{k+1}^t * u_{k+1}[i]
     y~_j[k] = sqrt(n) * s_{k+1}^t * v_{k+1}[j]        (k = 1..q)
@@ -37,12 +38,13 @@ class SpectralModel:
     Only :func:`spectral_model` builds one, and it raises instead of
     returning an uncertified model: ``s`` is descending with s[0] == 1 and
     the first columns of U and V are the constant vectors, both within 1e-6.
-    The signs follow :func:`eotmaps.linalg.truncated_svd`.
+    The signs follow :func:`eotmaps.linalg.truncated_svd`.  U has one row
+    per point of the caller's X and V one per point of Y.
     """
 
     s: np.ndarray  # (k,)
-    U: np.ndarray  # (m, k)
-    V: np.ndarray  # (n, k)
+    U: np.ndarray  # (|X|, k)
+    V: np.ndarray  # (|Y|, k)
 
 
 class DimensionSelection(NamedTuple):
@@ -69,6 +71,9 @@ class JointEmbedding:
 def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     """Compute k singular triplets of the plan and certify the leading pair.
 
+    The factors come back in the caller's order (U for X, V for Y), also
+    from a plan stored as (Y, X): then they are exchanged, bits unchanged.
+
     Raises PlanNotConvergedError when the leading singular value is not 1
     within 1e-6 or the leading vectors deviate entrywise by more than 1e-6
     from the constant vectors they must equal for a converged plan.
@@ -88,6 +93,8 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
         raise PlanNotConvergedError(
             f"leading singular vectors deviate from the constant pair by {max(du, dv):.3e}"
         )
+    if plan.swapped:
+        U, V = V, U
     return SpectralModel(s=s, U=U, V=V)
 
 
@@ -122,10 +129,10 @@ def embed_from_model(
 ) -> JointEmbedding:
     """Assemble embedding coordinates from triplets 2..q+1 of a spectral model.
 
-    ``q`` is an integer in [1, m-1] or "auto", which picks it with
-    :func:`select_dimension` over the model's spectrum (the model must then
-    hold all m triplets) and warns when it falls back to q=1.  Use this
-    instead of :func:`eot_eigenmaps` when the model is also needed for other
+    ``q`` is an integer in [1, min(m, n)-1] (m = |X|, n = |Y|) or "auto",
+    which picks it with :func:`select_dimension` over the model's spectrum
+    (the model must then hold all min(m, n) triplets) and warns when it
+    falls back to q=1.  Use this instead of :func:`eot_eigenmaps` when the model is also needed for other
     purposes (spectra, diffusion distances) and should only be computed once.
     """
     if not isinstance(model, SpectralModel):
@@ -133,15 +140,16 @@ def embed_from_model(
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
     t = check_int(t, "t", 0)
-    m, n = plan.shape
-    if model.U.shape[0] != m or model.V.shape[0] != n:
+    m, n = model.U.shape[0], model.V.shape[0]
+    if sorted((m, n)) != sorted(plan.shape):
         raise InputError("model does not match the plan's shape")
+    rank = min(m, n)
 
     if isinstance(q, str):
         if q != "auto":
             raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-        if model.s.size != m:
-            raise DimensionError(f'q="auto" needs all {m} triplets, model holds {model.s.size}')
+        if model.s.size != rank:
+            raise DimensionError(f'q="auto" needs all {rank} triplets, model holds {model.s.size}')
         selection = select_dimension(model.s)
         if selection.degenerate:
             warnings.warn(
@@ -151,7 +159,7 @@ def embed_from_model(
                 stacklevel=2,
             )
         q = selection.q
-    q = check_int(q, "q", 1, m - 1)
+    q = check_int(q, "q", 1, rank - 1)
     if model.s.size < q + 1:
         raise DimensionError(f"model holds {model.s.size} triplets, need {q + 1}")
     if model.s.size >= q + 2 and abs(model.s[q] - model.s[q + 1]) <= _TIE_TOL:
@@ -162,9 +170,8 @@ def embed_from_model(
             stacklevel=2,
         )
     factors = model.s[1 : q + 1] ** t
-    A = np.sqrt(m) * model.U[:, 1 : q + 1] * factors[None, :]
-    B = np.sqrt(n) * model.V[:, 1 : q + 1] * factors[None, :]
-    Xt, Yt = (B, A) if plan.swapped else (A, B)
+    Xt = np.sqrt(m) * model.U[:, 1 : q + 1] * factors[None, :]
+    Yt = np.sqrt(n) * model.V[:, 1 : q + 1] * factors[None, :]
     return JointEmbedding(Xt=Xt, Yt=Yt, q=q, t=t, s_used=model.s[1 : q + 1].copy())
 
 
@@ -213,8 +220,7 @@ def embedding_cost(emb: JointEmbedding, plan: TransportPlan) -> float:
         raise InputError("emb must be a JointEmbedding")
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
-    A = emb.Yt if plan.swapped else emb.Xt  # rows side of the stored W
-    B = emb.Xt if plan.swapped else emb.Yt
+    A, B = (emb.Yt, emb.Xt) if plan.swapped else (emb.Xt, emb.Yt)  # as the stored W
     m, n = plan.shape
     if A.shape[0] != m or B.shape[0] != n:
         raise InputError("embedding does not match the plan's shape")

@@ -122,14 +122,10 @@ def davies_bouldin(points, labels) -> float:
     P = as_matrix(points, "points")
     labels = _validated_labels(labels, P.shape[0])
     classes, centroids, scatter = _cluster_stats(P, labels)
-    K = classes.size
     M = np.sqrt(squared_distance_matrix(centroids, centroids))
-    ratios = np.full((K, K), -np.inf)
-    for i in range(K):
-        for j in range(K):
-            if i == j:
-                continue
-            ratios[i, j] = (scatter[i] + scatter[j]) / M[i, j] if M[i, j] > 0 else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(M > 0, (scatter[:, None] + scatter[None, :]) / M, np.inf)
+    np.fill_diagonal(ratios, -np.inf)
     return float(ratios.max(axis=1).mean())
 
 
@@ -158,10 +154,7 @@ def silhouette_mean(points, labels) -> float:
         if sizes[ci] == 1:
             continue
         a = sums[i, ci] / (sizes[ci] - 1)
-        b = np.inf
-        for cj in range(classes.size):
-            if cj != ci:
-                b = min(b, sums[i, cj] / sizes[cj])
+        b = min(sums[i, cj] / sizes[cj] for cj in range(classes.size) if cj != ci)
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())

@@ -204,21 +204,17 @@ class ObservationModelConfig:
             object.__setattr__(self, name, nu)
         for name in ("a1", "a2"):
             object.__setattr__(self, name, check_real(getattr(self, name), name, 0, strict=True))
-        U = np.asarray(self.U_basis, dtype=float)
-        V1 = np.asarray(self.V1_basis, dtype=float)
-        V2 = np.asarray(self.V2_basis, dtype=float)
+        names = ("U_basis", "V1_basis", "V2_basis")
+        U, V1, V2 = (np.asarray(getattr(self, name), dtype=float) for name in names)
         if U.shape != (self.p, self.r):
             raise InputError(f"U_basis must be (p, r) = ({self.p}, {self.r}), got {U.shape}")
-        _check_basis(U, self.p, "U_basis")
-        _check_basis(V1, self.p, "V1_basis")
-        _check_basis(V2, self.p, "V2_basis")
-        for A, B, names in ((U, V1, "U_basis/V1_basis"), (U, V2, "U_basis/V2_basis"),
-                            (V1, V2, "V1_basis/V2_basis")):
+        for name, B in zip(names, (U, V1, V2)):
+            _check_basis(B, self.p, name)
+            object.__setattr__(self, name, B)
+        for A, B, pair in ((U, V1, "U_basis/V1_basis"), (U, V2, "U_basis/V2_basis"),
+                           (V1, V2, "V1_basis/V2_basis")):
             if A.shape[1] and B.shape[1] and np.abs(A.T @ B).max() > _ORTHO_TOL:
-                raise InputError(f"{names} are not mutually orthogonal")
-        object.__setattr__(self, "U_basis", U)
-        object.__setattr__(self, "V1_basis", V1)
-        object.__setattr__(self, "V2_basis", V2)
+                raise InputError(f"{pair} are not mutually orthogonal")
         check_int(self.seed, "seed", 0)
 
 

@@ -88,8 +88,9 @@ def predicted_spectrum(model: SpectralModel, m: int, n: int):
 
     Parameters
     ----------
-    model : SpectralModel holding all m triplets of an (m, n) plan, m <= n
-    m, n : the plan's shape
+    model : SpectralModel holding all m triplets of the plan
+    m, n : the stored plan's shape, m <= n; the model's factors are put
+        back in this order by their shapes, whatever the caller's order
 
     Returns
     -------
@@ -109,12 +110,13 @@ def predicted_spectrum(model: SpectralModel, m: int, n: int):
         raise InputError("model must be a SpectralModel")
     if m > n:
         raise InputError(f"expected the stored orientation m <= n, got {m} > {n}")
-    if model.U.shape != (m, m) or model.V.shape != (n, m):
+    s = model.s
+    U, V = sorted((model.U, model.V), key=len)  # the stored order: fewer rows first
+    if U.shape != (m, m) or V.shape != (n, m):
         raise DimensionError(
             f"model must hold all {m} triplets of an ({m}, {n}) plan; "
             f"got U {model.U.shape}, V {model.V.shape}"
         )
-    s, U, V = model.s, model.U, model.V
 
     values = np.concatenate([1.0 - s, np.ones(n - m), (1.0 + s)[::-1]])
 

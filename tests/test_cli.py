@@ -433,6 +433,32 @@ def test_distances_input_errors(workdir, tmp_path):
     assert r.returncode == 2 and "t must be" in r.stderr
 
 
+def test_distances_checks_every_pair_before_writing(workdir, tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\nYY,2,3\nXY,3,99\n")
+    out = tmp_path / "dist.csv"
+    r = run_cli(
+        "distances", "--in-x", workdir / "X.csv", "--in-y", workdir / "Y.csv",
+        "--t", 1, "--pairs", pairs, "--out", out,
+    )
+    assert r.returncode == 2 and "j must be in [0, 9], got 99" in r.stderr
+    assert not out.exists()
+
+
+def test_distances_errors_name_the_callers_index_on_swapped_inputs(workdir, tmp_path):
+    # X.csv has 8 rows and Y.csv 10: with the files exchanged the plan is
+    # stored as (Y, X), and the error must still name j of the caller's Y
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXY,3,9\n")
+    out = tmp_path / "dist.csv"
+    r = run_cli(
+        "distances", "--in-x", workdir / "Y.csv", "--in-y", workdir / "X.csv",
+        "--t", 1, "--pairs", pairs, "--out", out,
+    )
+    assert r.returncode == 2 and "j must be in [0, 7], got 9" in r.stderr
+    assert not out.exists()
+
+
 def test_threads_flag(workdir, tmp_path):
     r = run_cli("--threads", 0, "embed", "--in-x", workdir / "X.csv",
                 "--in-y", workdir / "Y.csv",

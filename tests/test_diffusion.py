@@ -221,3 +221,71 @@ def test_distance_and_block_validation(setup):
         diffusion_distance(ctx, "YY", -1, 0)
     with pytest.raises(InputError):
         diffusion_distance(ctx, "XX", 0.5, 1)
+
+
+@pytest.fixture(scope="module", params=["stored", "swapped"])
+def oriented(request):
+    # 40 x 55 clouds in the stored order, then exchanged, so that the model
+    # of the second plan has U for the larger X
+    rng = np.random.default_rng(29)
+    X, Y = rng.normal(size=(40, 3)), rng.normal(size=(55, 3))
+    if request.param == "swapped":
+        X, Y = Y, X
+    plan = transport_plan(X, Y)
+    assert plan.swapped == (request.param == "swapped")
+    return X, Y, plan, DiffusionContext(spectral_model(plan, k=40), 2)
+
+
+def test_swapped_plan_distances_index_the_callers_clouds(oriented):
+    X, Y, plan, ctx = oriented
+    assert (ctx.m, ctx.n) == (len(X), len(Y))
+    emb = eot_eigenmaps(X, Y, q=39, t=2, plan=plan)
+    for kind, rows_i, rows_j in (("XX", emb.Xt, emb.Xt), ("YY", emb.Yt, emb.Yt),
+                                 ("XY", emb.Xt, emb.Yt)):
+        i, j = len(rows_i) - 1, len(rows_j) - 2
+        assert diffusion_distance(ctx, kind, i, j) == pytest.approx(
+            np.linalg.norm(rows_i[i] - rows_j[j]), abs=1e-10
+        )
+
+
+def test_swapped_plan_distances_equal_the_reversed_call(oriented):
+    X, Y, plan, ctx = oriented
+    reverse = DiffusionContext(spectral_model(transport_plan(Y, X), k=40), 2)
+    assert diffusion_distance(ctx, "XX", 3, len(X) - 1) == diffusion_distance(
+        reverse, "YY", 3, len(X) - 1
+    )
+    assert diffusion_distance(ctx, "XY", len(X) - 1, 5) == diffusion_distance(
+        reverse, "XY", 5, len(X) - 1
+    )
+
+
+def test_array_distances_equal_the_scalar_loop(oriented):
+    X, Y, _, ctx = oriented
+    rng = np.random.default_rng(3)
+    sizes = {"XX": (len(X), len(X)), "YY": (len(Y), len(Y)), "XY": (len(X), len(Y))}
+    for kind, (a, b) in sizes.items():
+        i, j = rng.integers(a, size=600), rng.integers(b, size=600)
+        batch = diffusion_distance(ctx, kind, i, j)
+        loop = [diffusion_distance(ctx, kind, int(p), int(q)) for p, q in zip(i, j)]
+        assert isinstance(batch, np.ndarray) and batch.shape == (600,)
+        assert np.array_equal(batch, loop)
+        assert isinstance(loop[0], float)
+    assert diffusion_distance(ctx, "XY", np.arange(0), np.arange(0)).shape == (0,)
+
+
+def test_array_distance_validation(oriented):
+    X, Y, _, ctx = oriented
+    good = np.arange(5)
+    for bad in (np.ones(5, dtype=bool), good.astype(float), good.reshape(1, 5),
+                np.arange(4), True, 1.0):
+        for i, j in ((bad, good), (good, bad)):
+            with pytest.raises(InputError) as info:
+                diffusion_distance(ctx, "XY", i, j)
+            assert type(info.value) is InputError
+    for i, j in ((np.array([0, -1]), np.array([0, 1])),
+                 (np.array([0, 1]), np.array([0, len(Y)])),
+                 (np.array([len(X), 0]), np.array([0, 1]))):
+        with pytest.raises(DimensionError):
+            diffusion_distance(ctx, "XY", i, j)
+    with pytest.raises(DimensionError, match=f"j must be in \\[0, {len(X) - 1}\\]"):
+        diffusion_distance(ctx, "XX", good, good + len(X) - 2)

@@ -283,3 +283,23 @@ def test_embedding_cost_validation(pair):
         embedding_cost(emb, transport_plan(X[:5], Y))
     with pytest.raises(InputError):
         embedding_cost("emb", plan)
+
+
+def test_spectral_model_factors_follow_the_callers_order(pair):
+    # transport_plan stores the smaller cloud as rows; the model undoes that,
+    # so the factors of a swapped plan are those of the reversed call with U
+    # and V exchanged, bit for bit
+    X, Y, _ = pair
+    Y, X = X, Y  # |X| = 17 > |Y| = 12
+    swapped, direct = transport_plan(X, Y), transport_plan(Y, X)
+    assert swapped.swapped and not direct.swapped
+    model = spectral_model(swapped, k=len(Y))
+    reference = spectral_model(direct, k=len(Y))
+    assert model.U.shape == (len(X), len(Y)) and model.V.shape == (len(Y), len(Y))
+    np.testing.assert_array_equal(model.s, reference.s)
+    np.testing.assert_array_equal(model.U, reference.V)
+    np.testing.assert_array_equal(model.V, reference.U)
+
+    emb = embed_from_model(model, swapped, q=3, t=1)
+    np.testing.assert_array_equal(emb.Xt, eot_eigenmaps(X, Y, q=3, t=1, plan=swapped).Xt)
+    assert emb.Xt.shape == (len(X), 3) and emb.Yt.shape == (len(Y), 3)

@@ -12,6 +12,7 @@ from eotmaps import (
     rand_index,
     sample_gmm,
     silhouette_mean,
+    squared_distance_matrix,
 )
 
 FOUR_CORNERS = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
@@ -118,6 +119,22 @@ def test_davies_bouldin_prefers_separation():
     loose = np.vstack([rng.normal(size=(20, 2)) * 2.0, rng.normal(size=(20, 2)) * 2.0 + 8.0])
     labels = np.array([0] * 20 + [1] * 20)
     assert davies_bouldin(tight, labels) < davies_bouldin(loose, labels)
+
+
+def test_davies_bouldin_equals_pairwise_loop():
+    # reference: the ratio of every ordered pair of distinct clusters, one at
+    # a time; the vectorized index must give the same bits
+    rng = np.random.default_rng(11)
+    for k in (2, 3, 5):
+        pts = rng.normal(size=(40, 3))
+        labels = np.arange(40) % k
+        centroids = np.array([pts[labels == c].mean(axis=0) for c in range(k)])
+        scatter = np.array([np.sqrt(((pts[labels == c] - centroids[c]) ** 2).sum(axis=1).mean())
+                            for c in range(k)])
+        sep = np.sqrt(squared_distance_matrix(centroids, centroids))
+        worst = [max((scatter[i] + scatter[j]) / sep[i, j] for j in range(k) if j != i)
+                 for i in range(k)]
+        assert davies_bouldin(pts, labels) == np.mean(worst)
 
 
 def test_silhouette_hand_oracle():

@@ -168,3 +168,17 @@ def test_build_operators_rejects_violated_marginals():
     )
     with pytest.raises(InvariantError):
         build_operators(bogus)
+
+
+def test_predicted_spectrum_on_a_swapped_plan():
+    # the model is in the caller's order (U for the larger X); the spectrum
+    # describes the stored graph, whose rows are the smaller cloud
+    X = RNG.normal(size=(30, 2))
+    Y = RNG.normal(size=(20, 2))
+    plan = transport_plan(X, Y, tol=1e-12)
+    assert plan.swapped and plan.shape == (20, 30)
+    model = spectral_model(plan, k=20)
+    values, vectors = predicted_spectrum(model, *plan.shape)
+    ops = build_operators(plan)
+    assert np.abs(values - np.linalg.eigvalsh(ops.L)).max() <= 1e-8
+    assert np.abs(ops.L @ vectors - vectors * values[None, :]).max() <= 1e-8
