@@ -29,7 +29,6 @@ _EXPORTS = {
     "transport_plan": "transport",
     # embedding
     "SpectralModel": "embedding",
-    "DimensionSelection": "embedding",
     "JointEmbedding": "embedding",
     "spectral_model": "embedding",
     "select_dimension": "embedding",

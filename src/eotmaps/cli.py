@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_args.add_argument("--max-iter", type=int, default=10000)
 
     p = sub.add_parser("embed", parents=[plan_args], help="compute the joint transport embedding")
-    p.add_argument("--q", default="auto", help='embedding dimension or "auto" (default)')
+    p.add_argument("--q", default="auto", help='embedding dimension or "auto" (default, largest gap, q <= 10)')
     p.add_argument("--t", type=int, default=0, help="diffusion time (default 0)")
     p.add_argument("--out-embedding", required=True)
     p.add_argument("--out-spectrum", required=True)

@@ -68,8 +68,8 @@ def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
     YX: sqrt(n/m) V S^t U^T  YY: V S^t V^T
 
     Every block has unit row sums.  Entries are guaranteed nonnegative only
-    when the block matches the parity of t (XX/YY for even t plus t=0, XY/YX
-    for odd t), which is when the block coincides with the corresponding
+    when the block matches the parity of t (XX/YY for even t, XY/YX for
+    odd t), which is when the block coincides with the corresponding
     block of the dense walk matrix P^t.
     """
     if block not in _BLOCKS:

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, InputError, PlanNotConvergedError
-from .linalg import check_int, check_real, truncated_svd
+from .linalg import SINGULAR_FLOOR, as_matrix, check_int, truncated_svd
 from .transport import TransportPlan, transport_plan
 
-DEFAULT_GAP_THRESHOLD = 0.02
+_AUTO_WINDOW = 10  # q="auto" picks q in [1, _AUTO_WINDOW], from s_1..s_{_AUTO_WINDOW+2}
 _LEADING_VALUE_TOL = 1e-6
 _TRIVIAL_VECTOR_TOL = 1e-6
 _TIE_TOL = 1e-12
@@ -45,11 +44,6 @@ class SpectralModel:
     s: np.ndarray  # (k,)
     U: np.ndarray  # (|X|, k)
     V: np.ndarray  # (|Y|, k)
-
-
-class DimensionSelection(NamedTuple):
-    q: int
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -98,14 +92,15 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     return SpectralModel(s=s, U=U, V=V)
 
 
-def select_dimension(s, threshold: float = DEFAULT_GAP_THRESHOLD) -> DimensionSelection:
-    """Pick the embedding dimension from consecutive singular-value ratios.
+def select_dimension(s) -> int:
+    """Pick the embedding dimension at the largest gap of the leading values.
 
-    Returns the largest index i (1-based, over the descending spectrum
-    including the trivial leading value) with s_i / s_{i+1} >= 1 + threshold.
-    A zero denominator under a positive numerator counts as an infinite
-    ratio.  When no index qualifies the selection is reported as q=1 with
-    the ``degenerate`` flag set.
+    ``s`` is a descending spectrum with the trivial s_1 first (1-based).
+    Returns the q in [1, min(10, len(s) - 2)] with the largest ratio
+    s_{q+1} / s_{q+2}, the gap right after the last kept coordinate; ties go
+    to the smallest q and two values give q = 1.  Values at or below
+    SINGULAR_FLOOR * s_1 count as 0; x/0 with x > 0 is an infinite ratio
+    and 0/0 no gap (ratio 1).  Only s_1..s_12 enter the choice.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size < 2:
@@ -114,14 +109,13 @@ def select_dimension(s, threshold: float = DEFAULT_GAP_THRESHOLD) -> DimensionSe
         raise InputError("s contains non-finite values")
     if (s < 0).any() or (np.diff(s) > 0).any():
         raise InputError("s must be nonnegative and non-increasing")
-    threshold = check_real(threshold, "threshold", 0, strict=True)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = s[:-1] / s[1:]
-    qualifying = np.where(np.isnan(ratios), False, ratios >= 1.0 + threshold)
-    if not qualifying.any():
-        return DimensionSelection(q=1, degenerate=True)
-    return DimensionSelection(q=int(np.nonzero(qualifying)[0][-1] + 1), degenerate=False)
+    head = s[: _AUTO_WINDOW + 2]
+    head = np.where(head > SINGULAR_FLOOR * s[0], head, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = head[1:-1] / head[2:]
+    ratios[np.isnan(ratios)] = 1.0
+    return int(np.argmax(ratios)) + 1 if ratios.size else 1
 
 
 def embed_from_model(
@@ -130,10 +124,11 @@ def embed_from_model(
     """Assemble embedding coordinates from triplets 2..q+1 of a spectral model.
 
     ``q`` is an integer in [1, min(m, n)-1] (m = |X|, n = |Y|) or "auto",
-    which picks it with :func:`select_dimension` over the model's spectrum
-    (the model must then hold all min(m, n) triplets) and warns when it
-    falls back to q=1.  Use this instead of :func:`eot_eigenmaps` when the model is also needed for other
-    purposes (spectra, diffusion distances) and should only be computed once.
+    which picks it with :func:`select_dimension` from the model's leading
+    min(m, n, 12) values; a model holding fewer raises DimensionError.  Use
+    this instead of :func:`eot_eigenmaps` when the model is also needed for
+    other purposes (spectra, diffusion distances) and should only be
+    computed once.
     """
     if not isinstance(model, SpectralModel):
         raise InputError("model must be a SpectralModel")
@@ -148,17 +143,10 @@ def embed_from_model(
     if isinstance(q, str):
         if q != "auto":
             raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-        if model.s.size != rank:
-            raise DimensionError(f'q="auto" needs all {rank} triplets, model holds {model.s.size}')
-        selection = select_dimension(model.s)
-        if selection.degenerate:
-            warnings.warn(
-                "no singular-value ratio clears the selection threshold; "
-                "falling back to q=1",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        q = selection.q
+        need = min(rank, _AUTO_WINDOW + 2)
+        if model.s.size < need:
+            raise DimensionError(f'q="auto" needs {need} triplets, model holds {model.s.size}')
+        q = select_dimension(model.s[:need])
     q = check_int(q, "q", 1, rank - 1)
     if model.s.size < q + 1:
         raise DimensionError(f"model holds {model.s.size} triplets, need {q + 1}")
@@ -190,15 +178,15 @@ def eot_eigenmaps(
     Parameters
     ----------
     X, Y : point clouds with a shared feature dimension
-    q : embedding dimension (1 <= q <= min(m,n)-1), or "auto" to pick it by
-        the spectral-ratio rule (emits a warning when the spectrum is too
-        flat to choose and q falls back to 1)
+    q : embedding dimension (1 <= q <= min(m,n)-1), or "auto" for the q in
+        [1, 10] at the largest gap of the leading singular values (see
+        :func:`select_dimension`)
     t : diffusion time, a nonnegative integer; t=0 gives the
         constraint-optimal alignment coordinates
     epsilon : kernel bandwidth, a positive number or "median"
     tol, max_iter : Sinkhorn convergence controls
     plan : optionally, a precomputed plan for these clouds (epsilon/tol/
-        max_iter are then ignored)
+        max_iter are then ignored; X and Y must still match its shape)
 
     Returns
     -------
@@ -207,9 +195,17 @@ def eot_eigenmaps(
     check_int(t, "t", 0)
     if plan is None:
         plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
+    elif not isinstance(plan, TransportPlan):
+        raise InputError("plan must be a TransportPlan")
+    else:
+        rows = (as_matrix(X, "X").shape[0], as_matrix(Y, "Y").shape[0])
+        expected = plan.shape[::-1] if plan.swapped else plan.shape
+        if rows != expected:
+            raise InputError(f"X and Y have {rows} rows, the plan is for {expected}")
     m = plan.shape[0]
-    # "auto" reads the whole spectrum; a fixed q needs one triplet past its
-    # last coordinate for the tie check.
+    # A fixed q needs one triplet past its last coordinate for the tie check.
+    # "auto" reads only 12 values but still factors in full: at 1 BLAS thread
+    # truncated_svd at k = 12 ran slower than the dense SVD on most plans.
     k = m if isinstance(q, str) else min(m, check_int(q, "q", 1, m - 1) + 2)
     return embed_from_model(spectral_model(plan, k=k), plan, q=q, t=t)
 
@@ -238,12 +234,10 @@ def embedding_cost(emb: JointEmbedding, plan: TransportPlan) -> float:
 
 __all__ = [
     "SpectralModel",
-    "DimensionSelection",
     "JointEmbedding",
     "spectral_model",
     "select_dimension",
     "eot_eigenmaps",
     "embed_from_model",
     "embedding_cost",
-    "DEFAULT_GAP_THRESHOLD",
 ]

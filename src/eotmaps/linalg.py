@@ -86,7 +86,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` (array-like or DataMatrix) to a validated float64 2-D array."""
     if isinstance(a, DataMatrix):
         return a.values
-    arr = np.asarray(a, dtype=float)
+    try:
+        arr = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a matrix of real numbers") from None
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -201,6 +201,24 @@ def test_embed_auto_dimension_reported(tmp_path, workdir):
     np.testing.assert_allclose(emb[:, 2:], np.vstack([lib.Xt, lib.Yt]), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["setting1", "setting2", "clustering"])
+def test_embed_default_writes_few_coordinates(tmp_path, name):
+    write_config(tmp_path / "c.json", name=name, m=60, n=80, p=20)
+    r = run_cli(
+        "simulate", "--config", tmp_path / "c.json",
+        "--out-x", tmp_path / "X.csv", "--out-y", tmp_path / "Y.csv",
+        "--out-latent", tmp_path / "L.csv", "--out-labels", tmp_path / "l.txt",
+    )
+    assert r.returncode == 0, r.stderr
+    r = run_cli(
+        "embed", "--in-x", tmp_path / "X.csv", "--in-y", tmp_path / "Y.csv",
+        "--out-embedding", tmp_path / "emb.csv", "--out-spectrum", tmp_path / "spec.csv",
+    )
+    assert r.returncode == 0, r.stderr
+    header = (tmp_path / "emb.csv").read_text().split("\n", 1)[0].split(",")
+    assert 1 <= sum(col.startswith("coord_") for col in header) <= 10
+
+
 def test_embed_input_errors(tmp_path, workdir):
     r = run_cli(
         "embed", "--in-x", workdir / "X.csv", "--in-y", workdir / "Y.csv", "--q", 99,

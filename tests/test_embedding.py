@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import eotmaps.embedding as embedding
 from eotmaps import (
     DimensionError,
     InputError,
@@ -37,27 +40,28 @@ def brute_force_cost(Xt, Yt, W):
 
 
 def test_select_dimension_hand_oracle():
-    # ratios: 1/0.9=1.111*, 0.9/0.89=1.011, 0.89/0.3=2.97*, 0.3/0.29=1.034*
-    sel = select_dimension(np.array([1.0, 0.9, 0.89, 0.3, 0.29]))
-    assert sel == (4, False)
+    # ratios s_{q+1}/s_{q+2}: q=1 0.9/0.89=1.011, q=2 0.89/0.3=2.97*, q=3 0.3/0.29=1.034
+    assert select_dimension(np.array([1.0, 0.9, 0.89, 0.3, 0.29])) == 2
 
 
-def test_select_dimension_flat_spectrum_degenerate():
-    sel = select_dimension(np.array([1.0, 0.999, 0.998]))
-    assert sel.q == 1 and sel.degenerate
+def test_select_dimension_flat_spectrum():
+    # every ratio is 1: the tie goes to the smallest q
+    assert select_dimension(np.array([1.0, 0.5, 0.5, 0.5, 0.5])) == 1
+    assert select_dimension(np.array([1.0, 0.999])) == 1
 
 
 def test_select_dimension_zero_tail_infinite_ratio():
-    sel = select_dimension(np.array([1.0, 0.5, 0.0]))
-    assert sel == (2, False)
+    assert select_dimension(np.array([1.0, 0.5, 0.0])) == 1
+    assert select_dimension(np.array([1.0, 0.5, 0.4, 0.0, 0.0])) == 2  # 0.4/0 beats 0.5/0.4
+    assert select_dimension(np.array([1.0, 0.0, 0.0, 0.0])) == 1  # 0/0 is no gap
 
 
-def test_select_dimension_threshold_parameter():
-    s = np.array([1.0, 0.95, 0.5])
-    assert select_dimension(s, threshold=0.02).q == 2
-    assert select_dimension(s, threshold=0.10).q == 2
-    assert select_dimension(s, threshold=1.50).q == 1
-    assert select_dimension(s, threshold=1.50).degenerate
+def test_select_dimension_reads_a_window_of_ten():
+    # the largest ratio (at q = 11) lies past the window; only s_1..s_12 count
+    s = np.concatenate([0.9 ** np.arange(12), [0.9**11 / 100], 0.9 ** np.arange(13, 20) / 100])
+    assert select_dimension(s) == 1
+    s[5:] /= 2.0  # the gap at q = 4 is now the largest within the window
+    assert select_dimension(s) == 4
 
 
 def test_select_dimension_validation():
@@ -69,10 +73,6 @@ def test_select_dimension_validation():
         select_dimension(np.array([1.0, -0.5]))
     with pytest.raises(InputError):
         select_dimension(np.array([1.0, np.nan]))
-    with pytest.raises(InputError):
-        select_dimension(np.array([1.0, 0.5]), threshold=0.0)
-    with pytest.raises(InputError):
-        select_dimension(np.array([1.0, 0.5]), threshold=True)
 
 
 def test_spectral_model_certifies_trivial_pair(pair):
@@ -175,17 +175,40 @@ def test_embedding_auto_dimension(pair):
     X, Y, plan = pair
     emb = eot_eigenmaps(X, Y, q="auto", plan=plan)
     model = spectral_model(plan, k=plan.shape[0])
-    assert emb.q == select_dimension(model.s).q
+    assert emb.q == select_dimension(model.s[:12])
+    assert 1 <= emb.q <= 10
     assert emb.Xt.shape == (len(X), emb.q)
 
 
-def test_embedding_auto_degenerate_warns():
-    # two far-apart singletons: the plan is near-diagonal, s2 ~ 1, and no
-    # ratio clears the gap threshold
+def test_embedding_auto_rank_two_plan():
+    # two far-apart singletons: the plan is 2 x 2, so q = 1 is the only
+    # choice, and there is no third value to tie with
     X = np.array([[0.0], [3.0]])
-    with pytest.warns(RuntimeWarning, match="falling back"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         emb = eot_eigenmaps(X, X, q="auto", epsilon=1.0)
     assert emb.q == 1
+
+
+def test_embedding_auto_floor_on_uniform_plan(monkeypatch):
+    # identical points give a rank-one plan: s = [1, ~1e-16, ~1e-47, 0, ...].
+    # Below the floor those are zeros, so q = 1 and its coordinate ties with
+    # the next; without the floor the ratio 1e-47/0 would pick q = 2.
+    X = np.zeros((6, 2))
+    plan = transport_plan(X, X, epsilon=1.0)
+    model = spectral_model(plan, k=6)
+    with pytest.warns(RuntimeWarning, match="rotation"):
+        emb = embed_from_model(model, plan, q="auto", t=0)
+    assert emb.q == 1
+    monkeypatch.setattr(embedding, "SINGULAR_FLOOR", 0.0)
+    assert select_dimension(model.s) == 2
+
+
+@pytest.mark.parametrize("name,param", [("setting1", 8.0), ("setting2", 3.0), ("clustering", 3.0)])
+def test_embedding_auto_small_on_presets(name, param):
+    sim = preset(name, 300, 400, 300, 0, param)
+    emb = eot_eigenmaps(sim.X.values, sim.Y.values, q="auto")
+    assert 1 <= emb.q <= 10
 
 
 def test_embedding_tied_values_warn():
@@ -264,6 +287,32 @@ def test_embed_from_model_matches_and_validates(pair):
     other = transport_plan(RNG.normal(size=(9, 2)), RNG.normal(size=(11, 2)))
     with pytest.raises(InputError):
         embed_from_model(model, other, q=2, t=0)
+
+
+def test_embed_from_model_auto_reads_twelve_values(large_pair):
+    _, _, plan = large_pair
+    full = embed_from_model(spectral_model(plan, k=plan.shape[0]), plan, q="auto", t=1)
+    lead = embed_from_model(spectral_model(plan, k=12), plan, q="auto", t=1)
+    assert lead.q == full.q <= 10
+    np.testing.assert_allclose(lead.Xt, full.Xt, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(lead.Yt, full.Yt, rtol=0, atol=1e-8)
+    with pytest.raises(DimensionError):
+        embed_from_model(spectral_model(plan, k=11), plan, q="auto", t=1)
+
+
+def test_eot_eigenmaps_checks_clouds_against_plan():
+    rng = np.random.default_rng(5)
+    X, Y = rng.normal(size=(30, 3)), rng.normal(size=(40, 3))
+    plan = transport_plan(X, Y)
+    with pytest.raises(InputError):
+        eot_eigenmaps(rng.normal(size=(7, 5)), "not even an array", q=2, plan=plan)
+    with pytest.raises(InputError):
+        eot_eigenmaps(X, Y[:39], q=2, plan=plan)
+    with pytest.raises(InputError):
+        eot_eigenmaps(Y, X, q=2, plan=plan)  # exchanged
+    with pytest.raises(InputError):
+        eot_eigenmaps(X, Y, q=2, plan="plan")
+    assert eot_eigenmaps(X, Y, q=2, plan=plan).Xt.shape == (30, 2)
 
 
 def test_eot_eigenmaps_validation(pair):
