@@ -65,8 +65,7 @@ class JointEmbedding:
 def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     """Compute k singular triplets of the plan and certify the leading pair.
 
-    The factors come back in the caller's order (U for X, V for Y), also
-    from a plan stored as (Y, X): then they are exchanged, bits unchanged.
+    U has one row per point of X and V one per point of Y, as the plan.
 
     Raises PlanNotConvergedError when the leading singular value is not 1
     within 1e-6 or the leading vectors deviate entrywise by more than 1e-6
@@ -75,7 +74,12 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
     m, n = plan.shape
-    s, U, V = truncated_svd(plan.W, k)
+    # Factor the wide orientation, the C-ordered array transport_plan solved
+    # on, so truncated_svd sees the same array and fixes the same signs.
+    if m > n:
+        s, V, U = truncated_svd(plan.W.T, k)
+    else:
+        s, U, V = truncated_svd(plan.W, k)
     if abs(s[0] - 1.0) > _LEADING_VALUE_TOL:
         raise PlanNotConvergedError(
             f"leading singular value {s[0]:.12g} is not 1 within {_LEADING_VALUE_TOL:g}; "
@@ -87,8 +91,6 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
         raise PlanNotConvergedError(
             f"leading singular vectors deviate from the constant pair by {max(du, dv):.3e}"
         )
-    if plan.swapped:
-        U, V = V, U
     return SpectralModel(s=s, U=U, V=V)
 
 
@@ -136,8 +138,8 @@ def embed_from_model(
         raise InputError("plan must be a TransportPlan")
     t = check_int(t, "t", 0)
     m, n = model.U.shape[0], model.V.shape[0]
-    if sorted((m, n)) != sorted(plan.shape):
-        raise InputError("model does not match the plan's shape")
+    if (m, n) != plan.shape:
+        raise InputError(f"model is for {(m, n)} points, the plan for {plan.shape}")
     rank = min(m, n)
 
     if isinstance(q, str):
@@ -199,14 +201,13 @@ def eot_eigenmaps(
         raise InputError("plan must be a TransportPlan")
     else:
         rows = (as_matrix(X, "X").shape[0], as_matrix(Y, "Y").shape[0])
-        expected = plan.shape[::-1] if plan.swapped else plan.shape
-        if rows != expected:
-            raise InputError(f"X and Y have {rows} rows, the plan is for {expected}")
-    m = plan.shape[0]
+        if rows != plan.shape:
+            raise InputError(f"X and Y have {rows} rows, the plan is for {plan.shape}")
+    rank = min(plan.shape)
     # A fixed q needs one triplet past its last coordinate for the tie check.
     # "auto" reads only 12 values but still factors in full: at 1 BLAS thread
     # truncated_svd at k = 12 ran slower than the dense SVD on most plans.
-    k = m if isinstance(q, str) else min(m, check_int(q, "q", 1, m - 1) + 2)
+    k = rank if isinstance(q, str) else min(rank, check_int(q, "q", 1, rank - 1) + 2)
     return embed_from_model(spectral_model(plan, k=k), plan, q=q, t=t)
 
 
@@ -216,9 +217,8 @@ def embedding_cost(emb: JointEmbedding, plan: TransportPlan) -> float:
         raise InputError("emb must be a JointEmbedding")
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
-    A, B = (emb.Yt, emb.Xt) if plan.swapped else (emb.Xt, emb.Yt)  # as the stored W
-    m, n = plan.shape
-    if A.shape[0] != m or B.shape[0] != n:
+    A, B = emb.Xt, emb.Yt
+    if (A.shape[0], B.shape[0]) != plan.shape:
         raise InputError("embedding does not match the plan's shape")
     if A.shape[1] != B.shape[1]:
         raise InputError("embedding blocks must share their dimension")

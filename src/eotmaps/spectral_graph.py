@@ -1,7 +1,8 @@
 """Bipartite graph operators induced by a transport plan, and their spectra.
 
-The plan W couples the m rows and n columns into one bipartite graph on
-m + n vertices with adjacency
+The plan W couples the m points of X (its rows) and the n points of Y (its
+columns) into one bipartite graph on m + n vertices, X's first, with
+adjacency
 
     W_hat = [[0, W], [W^T, 0]],      L = I - W_hat,
 
@@ -88,48 +89,46 @@ def predicted_spectrum(model: SpectralModel, m: int, n: int):
 
     Parameters
     ----------
-    model : SpectralModel holding all m triplets of the plan
-    m, n : the stored plan's shape, m <= n; the model's factors are put
-        back in this order by their shapes, whatever the caller's order
+    model : SpectralModel holding all r = min(m, n) triplets of the plan
+    m, n : the plan's shape, |X| and |Y|
 
     Returns
     -------
     values : (m+n,) eigenvalues of L in ascending order:
-        0, 1-s_2, ..., 1-s_m, then 1 with multiplicity n-m, then
-        1+s_m, ..., 1+s_2, 2
-    vectors : (m+n, m+n) matching eigenvectors as columns; the first m are
-        [u_k; v_k]/sqrt(2), the middle n-m are [0; w] for an orthonormal
-        completion w of the plan's right singular subspace, and the last m
-        are [u_k; -v_k]/sqrt(2) in reverse order.
+        0, 1-s_2, ..., 1-s_r, then 1 with multiplicity |m-n|, then
+        1+s_r, ..., 1+s_2, 2
+    vectors : (m+n, m+n) matching eigenvectors as columns; the first r are
+        [u_k; v_k]/sqrt(2), the middle |m-n| are [0; w] (n > m) or [w; 0]
+        (m > n) for an orthonormal completion w of the taller factor's
+        singular subspace, and the last r are [u_k; -v_k]/sqrt(2) in
+        reverse order.
 
     The middle band is degenerate, so only its eigenvalues (or residuals
     against L) are comparable across implementations; the completion used
-    here is the deterministic QR completion of span(V).
+    here is the deterministic QR completion of the taller factor's span.
     """
     if not isinstance(model, SpectralModel):
         raise InputError("model must be a SpectralModel")
-    if m > n:
-        raise InputError(f"expected the stored orientation m <= n, got {m} > {n}")
-    s = model.s
-    U, V = sorted((model.U, model.V), key=len)  # the stored order: fewer rows first
-    if U.shape != (m, m) or V.shape != (n, m):
+    s, U, V = model.s, model.U, model.V
+    r = min(m, n)
+    if U.shape != (m, r) or V.shape != (n, r):
         raise DimensionError(
-            f"model must hold all {m} triplets of an ({m}, {n}) plan; "
-            f"got U {model.U.shape}, V {model.V.shape}"
+            f"model must hold all {r} triplets of an ({m}, {n}) plan; "
+            f"got U {U.shape}, V {V.shape}"
         )
 
-    values = np.concatenate([1.0 - s, np.ones(n - m), (1.0 + s)[::-1]])
+    values = np.concatenate([1.0 - s, np.ones(abs(n - m)), (1.0 + s)[::-1]])
 
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    top = np.vstack([U * inv_sqrt2, V * inv_sqrt2])  # columns k=1..m
+    top = np.vstack([U * inv_sqrt2, V * inv_sqrt2])  # columns k=1..r
     bottom = np.vstack([U[:, ::-1] * inv_sqrt2, -V[:, ::-1] * inv_sqrt2])
-    if n > m:
-        Q, _ = np.linalg.qr(np.concatenate([V, np.eye(n)], axis=1))
-        middle = np.vstack([np.zeros((m, n - m)), Q[:, m:n]])
-        vectors = np.concatenate([top, middle, bottom], axis=1)
-    else:
-        vectors = np.concatenate([top, bottom], axis=1)
-    return values, vectors
+    if m == n:
+        return values, np.concatenate([top, bottom], axis=1)
+    tall = U if m > n else V
+    Q, _ = np.linalg.qr(np.concatenate([tall, np.eye(len(tall))], axis=1))
+    blocks = [Q[:, r:], np.zeros((r, abs(n - m)))]
+    middle = np.vstack(blocks if m > n else blocks[::-1])
+    return values, np.concatenate([top, middle, bottom], axis=1)
 
 
 def quadratic_form(ops: BipartiteOperators, f) -> float:

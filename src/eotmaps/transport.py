@@ -68,7 +68,9 @@ class TransportPlan:
 
     Attributes
     ----------
-    W : (m, n) strictly positive plan matrix
+    W : (|X|, |Y|) strictly positive plan matrix, rows for the caller's X and
+        columns for Y; a transposed, Fortran-ordered view when X is the
+        larger cloud
     alpha, beta : scaling vectors with W_ij = alpha_i * K_ij * beta_j and
         ||alpha||_1 == ||beta||_1
     epsilon : bandwidth used to build the kernel, or None when the kernel
@@ -76,8 +78,6 @@ class TransportPlan:
     iterations : number of full sweeps performed
     marginal_residual : max absolute deviation of row/column sums from their
         targets, measured on W as returned
-    swapped : True when the stored orientation is (Y, X) because the caller's
-        X had more rows than Y
     """
 
     W: np.ndarray
@@ -86,7 +86,6 @@ class TransportPlan:
     epsilon: float | None
     iterations: int
     marginal_residual: float
-    swapped: bool = False
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -205,7 +204,6 @@ def sinkhorn(
         epsilon=epsilon,
         iterations=sweep,
         marginal_residual=float(residual_abs),
-        swapped=False,
     )
 
 
@@ -219,10 +217,9 @@ def transport_plan(
     """Entropic plan between two clouds with a Gaussian kernel.
 
     ``epsilon`` is either a positive number or ``"median"`` (bandwidth set to
-    the median of all squared pairwise distances).  The stored plan always
-    has at most as many rows as columns; when the caller's X is the larger
-    cloud the computation runs on (Y, X) and ``swapped`` is set.  Running
-    out of memory for the m x n arrays raises InputError naming the size.
+    the median of all squared pairwise distances).  The plan has one row per
+    point of X and one column per point of Y.  Running out of memory for the
+    m x n arrays raises InputError naming the size.
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -237,8 +234,10 @@ def transport_plan(
     else:
         eps = check_real(epsilon, "epsilon", 0, strict=True)
 
-    swapped = X.shape[0] > Y.shape[0]
-    A, B = (Y, X) if swapped else (X, Y)
+    # Sinkhorn runs on the wide orientation: on 2 vCPUs a sweep took 49-63 ms
+    # over a tall 8000 x 500 log-kernel and 33-36 ms over its wide transpose.
+    tall = X.shape[0] > Y.shape[0]
+    A, B = (Y, X) if tall else (X, Y)
     try:
         D2 = squared_distance_matrix(A, B)
         if isinstance(epsilon, str):
@@ -251,7 +250,7 @@ def transport_plan(
             f"a {m} x {n} transport plan does not fit in memory "
             f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
         ) from exc
-    return replace(plan, swapped=True) if swapped else plan
+    return replace(plan, W=plan.W.T, alpha=plan.beta, beta=plan.alpha) if tall else plan
 
 
 __all__ = [

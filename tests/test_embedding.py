@@ -95,7 +95,6 @@ def test_spectral_model_rejects_unconverged_plan():
         epsilon=1.0,
         iterations=1,
         marginal_residual=1.0,
-        swapped=False,
     )
     with pytest.raises(PlanNotConvergedError):
         spectral_model(bogus, k=3)
@@ -163,9 +162,9 @@ def test_embedding_swap_round_trip(pair):
     assert fwd.Xt.shape == (len(X), 3) and fwd.Yt.shape == (len(Y), 3)
     np.testing.assert_allclose(rev.Xt, fwd.Yt, atol=1e-9)
     np.testing.assert_allclose(rev.Yt, fwd.Xt, atol=1e-9)
-    # the swapped plan weights the same cost
+    # the reversed plan weights the same cost
     rev_plan = transport_plan(Y, X)
-    assert rev_plan.swapped
+    assert rev_plan.W.shape == (len(Y), len(X))
     assert embedding_cost(rev, rev_plan) == pytest.approx(
         embedding_cost(fwd, plan), rel=1e-8
     )
@@ -289,6 +288,16 @@ def test_embed_from_model_matches_and_validates(pair):
         embed_from_model(model, other, q=2, t=0)
 
 
+def test_embed_from_model_rejects_a_reversed_model():
+    # a model of the (Y, X) plan has U for Y: its 40 rows would become the
+    # coordinates of a 60-point X
+    rng = np.random.default_rng(5)
+    X, Y = rng.normal(size=(60, 2)), rng.normal(size=(40, 2))
+    reversed_model = spectral_model(transport_plan(Y, X), k=40)
+    with pytest.raises(InputError):
+        embed_from_model(reversed_model, transport_plan(X, Y), q=3, t=0)
+
+
 def test_embed_from_model_auto_reads_twelve_values(large_pair):
     _, _, plan = large_pair
     full = embed_from_model(spectral_model(plan, k=plan.shape[0]), plan, q="auto", t=1)
@@ -335,13 +344,12 @@ def test_embedding_cost_validation(pair):
 
 
 def test_spectral_model_factors_follow_the_callers_order(pair):
-    # transport_plan stores the smaller cloud as rows; the model undoes that,
-    # so the factors of a swapped plan are those of the reversed call with U
-    # and V exchanged, bit for bit
+    # a plan for the larger X is the transpose of the reversed call's, so its
+    # factors are that call's with U and V exchanged, bit for bit
     X, Y, _ = pair
     Y, X = X, Y  # |X| = 17 > |Y| = 12
     swapped, direct = transport_plan(X, Y), transport_plan(Y, X)
-    assert swapped.swapped and not direct.swapped
+    assert swapped.W.shape == (len(X), len(Y)) and direct.W.shape == (len(Y), len(X))
     model = spectral_model(swapped, k=len(Y))
     reference = spectral_model(direct, k=len(Y))
     assert model.U.shape == (len(X), len(Y)) and model.V.shape == (len(Y), len(Y))

@@ -117,7 +117,7 @@ def test_quadratic_form_is_positive_semidefinite(seed):
     rng = np.random.default_rng(seed)
     m, n = rng.integers(2, 6), rng.integers(2, 8)
     plan = transport_plan(rng.normal(size=(m, 3)), rng.normal(size=(n, 3)), tol=1e-12)
-    ops = build_operators(plan)  # stored orientation: ops.m <= ops.n
+    ops = build_operators(plan)  # caller's order: ops.m = |X|, ops.n = |Y|
     f = rng.normal(size=ops.m + ops.n) * 10
     value = quadratic_form(ops, f)
     assert value >= -1e-10

@@ -164,21 +164,24 @@ def test_build_operators_rejects_violated_marginals():
         epsilon=1.0,
         iterations=1,
         marginal_residual=1.0,
-        swapped=False,
     )
     with pytest.raises(InvariantError):
         build_operators(bogus)
 
 
 def test_predicted_spectrum_on_a_swapped_plan():
-    # the model is in the caller's order (U for the larger X); the spectrum
-    # describes the stored graph, whose rows are the smaller cloud
+    # plan, model and graph are all in the caller's order, X (the larger
+    # cloud) first, so the eigenvalue-1 band lies on X's rows
     X = RNG.normal(size=(30, 2))
     Y = RNG.normal(size=(20, 2))
     plan = transport_plan(X, Y, tol=1e-12)
-    assert plan.swapped and plan.shape == (20, 30)
+    assert plan.W.shape == (len(X), len(Y))
     model = spectral_model(plan, k=20)
     values, vectors = predicted_spectrum(model, *plan.shape)
     ops = build_operators(plan)
     assert np.abs(values - np.linalg.eigvalsh(ops.L)).max() <= 1e-8
     assert np.abs(ops.L @ vectors - vectors * values[None, :]).max() <= 1e-8
+    assert np.abs(vectors.T @ vectors - np.eye(50)).max() <= 1e-10
+    assert np.linalg.norm(ops.L @ vectors - vectors @ np.diag(values)) <= 1e-8
+    np.testing.assert_array_equal(values[20:30], 1.0)
+    assert not vectors[len(X):, 20:30].any()

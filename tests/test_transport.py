@@ -152,11 +152,12 @@ def test_transport_plan_matches_oracle_on_swapped_sharp_plan():
     X, Y = pair.X.values, pair.Y.values
     eps = median_bandwidth(squared_distance_matrix(X, Y)) / 100.0
     plan = transport_plan(X, Y, epsilon=eps)
-    assert plan.swapped and plan.shape == (40, 90)
+    assert plan.W.shape == (len(X), len(Y))
+    # Sinkhorn runs on the wide (Y, X) orientation; the plan is its transpose
     W, sweeps = oracle_sinkhorn(-squared_distance_matrix(Y, X) / eps)
     assert sweeps > 10
     assert plan.iterations == sweeps
-    np.testing.assert_allclose(plan.W, W, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(plan.W.T, W, rtol=1e-14, atol=0)
 
 
 def traced_peak(call):
@@ -251,8 +252,7 @@ def test_transport_plan_end_to_end_median_default():
     X = RNG.normal(size=(9, 4))
     Y = RNG.normal(size=(14, 4))
     plan = transport_plan(X, Y)
-    assert plan.shape == (9, 14)
-    assert not plan.swapped
+    assert plan.W.shape == (len(X), len(Y))
     D2 = squared_distance_matrix(X, Y)
     assert plan.epsilon == median_bandwidth(D2)
     assert marginal_residual(plan.W) <= 1e-9
@@ -267,11 +267,13 @@ def test_transport_plan_swaps_when_first_is_larger():
     X = RNG.normal(size=(12, 3))
     Y = RNG.normal(size=(5, 3))
     plan = transport_plan(X, Y)
-    assert plan.swapped
-    # stored orientation is rows <= cols; W maps the smaller set to the larger
-    assert plan.shape == (5, 12)
-    unswapped = transport_plan(Y, X)
-    np.testing.assert_allclose(plan.W, unswapped.W, atol=1e-12)
+    assert plan.W.shape == (len(X), len(Y))
+    # Sinkhorn runs on the wide orientation either way, so the plan is the
+    # exact transpose of the reversed call's, scalings exchanged
+    reverse = transport_plan(Y, X)
+    assert np.array_equal(plan.W, reverse.W.T)
+    assert np.array_equal(plan.alpha, reverse.beta)
+    assert np.array_equal(plan.beta, reverse.alpha)
 
 
 def test_transport_plan_explicit_epsilon_and_validation():
@@ -326,7 +328,6 @@ def test_plan_container_rejects_corrupt_fields():
         epsilon=plan.epsilon,
         iterations=plan.iterations,
         marginal_residual=plan.marginal_residual,
-        swapped=plan.swapped,
     )
     with pytest.raises(InputError):
         cls(**{**bad, "W": -plan.W})
