@@ -1,8 +1,9 @@
 """Evaluation metrics: neighborhood concordance, clustering quality, purity.
 
-All neighbor computations are exact (dense pairwise distances) with a fixed
-tie rule — equal distances are broken toward the smaller point index — so
-every metric is deterministic and reproducible across platforms.
+All neighbor computations are exact, with a fixed tie rule: equal distances
+are broken toward the smaller point index, so every metric is deterministic.
+Distances are built 256 rows at a time; each row's k-th smallest value is
+found by selection, and only the entries at or below it are sorted.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .simulate import _stream
 from .transport import squared_distance_matrix
 
 DEFAULT_NEIGHBORS = 50
+_ROW_BLOCK = 256  # rows of squared distances held at once
 
 
 @dataclass(frozen=True)
@@ -39,18 +41,39 @@ def _validated_labels(labels, count: int) -> np.ndarray:
     return lab
 
 
+def _neighbor_balls(P: np.ndarray, k: int):
+    """Yield (rows, D2, inside) for consecutive blocks of at most 256 rows.
+
+    D2 holds the squared distances of the block's rows to every point, with
+    each row's own entry set to inf; ``inside`` marks each row's k-NN ball,
+    its entries at or below the row's k-th smallest value.
+    """
+    N = P.shape[0]
+    for start in range(0, N, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, N))
+        D2 = squared_distance_matrix(P[rows], P)
+        D2[np.arange(rows.size), rows] = np.inf
+        kth = np.partition(D2, k - 1, axis=1)[:, k - 1]
+        yield rows, D2, D2 <= kth[:, None]
+
+
 def knn(points, k: int) -> NeighborSets:
     """Exact k nearest neighbors under Euclidean distance.
 
-    Ties are broken toward the smaller index (stable sort on squared
-    distances).  A point is never its own neighbor.
+    Ties are broken toward the smaller index (a stable sort on squared
+    distances).  A point is never its own neighbor.  Takes O(N^2 d) time
+    and O(256 N) memory: only each row's k-NN ball is sorted.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0] - 1)
-    D2 = squared_distance_matrix(P, P)
-    np.fill_diagonal(D2, np.inf)
-    order = np.argsort(D2, axis=1, kind="stable")
-    return NeighborSets(k=k, indices=np.ascontiguousarray(order[:, :k]))
+    indices = np.empty((P.shape[0], k), dtype=np.intp)
+    for rows, D2, inside in _neighbor_balls(P, k):
+        flat = np.flatnonzero(inside)  # row by row, ascending index
+        r, c = np.divmod(flat, P.shape[0])
+        ranked = c[np.lexsort((D2.ravel()[flat], r))]  # each row nearest first, stable
+        first = np.searchsorted(r, np.arange(rows.size))
+        indices[rows] = ranked[first[:, None] + np.arange(k)]
+    return NeighborSets(k=k, indices=indices)
 
 
 def jaccard_concordance(embedded, latent, k: int = DEFAULT_NEIGHBORS) -> float:
@@ -68,11 +91,9 @@ def jaccard_concordance(embedded, latent, k: int = DEFAULT_NEIGHBORS) -> float:
         )
     got = knn(E, k).indices
     want = knn(L, k).indices
-    N = E.shape[0]
-    member = np.zeros((N, N), dtype=bool)
-    rows = np.repeat(np.arange(N), k)
-    member[rows, got.ravel()] = True
-    inter = member[rows, want.ravel()].reshape(N, k).sum(axis=1)
+    # each row lists distinct indices, so a shared index shows up as a repeat
+    both = np.sort(np.hstack([got, want]), axis=1)
+    inter = (both[:, 1:] == both[:, :-1]).sum(axis=1)
     return float((inter / (2 * k - inter)).mean())
 
 
@@ -169,14 +190,12 @@ def neighbor_purity(points, labels, k: int = DEFAULT_NEIGHBORS) -> float:
     """
     P = as_matrix(points, "points")
     labels = _validated_labels(labels, P.shape[0])
-    N = P.shape[0]
-    nbrs = knn(P, k)
-    D2 = squared_distance_matrix(P, P)
-    np.fill_diagonal(D2, np.inf)
-    radius2 = D2[np.arange(N), nbrs.indices[:, -1]]
-    inside = D2 <= radius2[:, None]
-    same = labels[None, :] == labels[:, None]
-    return float(((inside & same).sum(axis=1) / inside.sum(axis=1)).mean())
+    k = check_int(k, "k", 1, P.shape[0] - 1)
+    fractions = np.empty(P.shape[0])
+    for rows, _, inside in _neighbor_balls(P, k):
+        same = labels[None, :] == labels[rows, None]
+        fractions[rows] = (inside & same).sum(axis=1) / inside.sum(axis=1)
+    return float(fractions.mean())
 
 
 def _lloyd(P: np.ndarray, centers: np.ndarray, max_iter: int):

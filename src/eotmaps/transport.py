@@ -35,7 +35,8 @@ def squared_distance_matrix(X, Y) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape (m, n).
 
     Computed by the usual norm expansion; tiny negative values from
-    cancellation are clipped to zero.
+    cancellation are clipped to zero.  Raises ``InputError`` when the points
+    are so large that the expansion could overflow float64.
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -45,6 +46,10 @@ def squared_distance_matrix(X, Y) -> np.ndarray:
         )
     sq_x = np.einsum("ij,ij->i", X, X)
     sq_y = np.einsum("ij,ij->i", Y, Y)
+    # |x|^2 + |y|^2 + 2|x.y| <= 2 * (max |x|^2 + max |y|^2) bounds every
+    # partial result of the expansion below
+    if not np.isfinite(2.0 * (float(sq_x.max()) + float(sq_y.max()))):
+        raise InputError("squared distances overflow float64; rescale the points")
     D2 = sq_x[:, None] + sq_y[None, :] - 2.0 * (X @ Y.T)
     return np.maximum(D2, 0.0)
 

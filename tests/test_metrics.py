@@ -47,6 +47,71 @@ def test_knn_validation():
         knn(pts, 1.5)
 
 
+def _argsort_knn(P, k):
+    # the full-matrix rule: a stable argsort of every distance row
+    D2 = squared_distance_matrix(P, P)
+    np.fill_diagonal(D2, np.inf)
+    return np.argsort(D2, axis=1, kind="stable")[:, :k]
+
+
+_ORACLE_RNG = np.random.default_rng(12)
+# integer and dyadic coordinates make every distance exact, so their ties
+# are true ties; the sizes straddle the 256-row block
+ORACLE_CLOUDS = {
+    "random": _ORACLE_RNG.normal(size=(600, 3)),
+    "below-block": _ORACLE_RNG.normal(size=(40, 5)),
+    "one-past-block": _ORACLE_RNG.normal(size=(257, 2)),
+    "two-blocks": _ORACLE_RNG.normal(size=(512, 4)),
+    "grid": np.indices((17, 17)).reshape(2, -1).T.astype(float),
+    "cube": 0.5 * np.indices((7, 7, 7)).reshape(3, -1).T,
+    "duplicates": np.repeat(_ORACLE_RNG.integers(0, 4, size=(100, 2)).astype(float), 3, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CLOUDS))
+def test_knn_equals_full_stable_argsort(name):
+    P = ORACLE_CLOUDS[name]
+    for k in (1, 7, P.shape[0] - 1):
+        nbrs = knn(P, k)
+        assert nbrs.indices.shape == (P.shape[0], k)
+        assert np.array_equal(nbrs.indices, _argsort_knn(P, k))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CLOUDS))
+def test_neighbor_purity_equals_full_matrix_formula(name):
+    P = ORACLE_CLOUDS[name]
+    N = P.shape[0]
+    labels = np.arange(N) * 7 % 3
+    D2 = squared_distance_matrix(P, P)
+    np.fill_diagonal(D2, np.inf)
+    for k in (1, 7, N - 1):
+        radius2 = D2[np.arange(N), _argsort_knn(P, k)[:, -1]]
+        inside = D2 <= radius2[:, None]
+        same = labels[None, :] == labels[:, None]
+        expected = float(((inside & same).sum(axis=1) / inside.sum(axis=1)).mean())
+        assert neighbor_purity(P, labels, k=k) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CLOUDS))
+def test_jaccard_equals_membership_matrix_formula(name):
+    E = ORACLE_CLOUDS[name]
+    N = E.shape[0]
+    L = E[::-1] + np.random.default_rng(13).normal(size=E.shape)
+    for k in (1, 7, N - 1):
+        member = np.zeros((N, N), dtype=bool)
+        rows = np.repeat(np.arange(N), k)
+        member[rows, _argsort_knn(E, k).ravel()] = True
+        inter = member[rows, _argsort_knn(L, k).ravel()].reshape(N, k).sum(axis=1)
+        expected = float((inter / (2 * k - inter)).mean())
+        assert jaccard_concordance(E, L, k=k) == expected
+
+
+def test_knn_rejects_overflowing_distances():
+    # squared distances overflow float64 here; unchecked, row 0 listed itself
+    with pytest.raises(InputError, match="rescale"):
+        knn(np.array([[1e200], [0.0], [1.0], [-1e200]]), 2)
+
+
 def test_jaccard_identical_inputs_is_one():
     rng = np.random.default_rng(1)
     P = rng.normal(size=(30, 4))

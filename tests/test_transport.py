@@ -78,6 +78,17 @@ def test_squared_distance_nonnegative_and_symmetric_zero_diag():
     np.testing.assert_allclose(D2[i, j], ((X[i] - X[j]) ** 2).sum(), rtol=1e-12)
 
 
+def test_squared_distance_rejects_overflow():
+    # 1e154 squares to 1e308: finite, but the expansion's bound is not
+    for big in (1e200, 1e154):
+        with pytest.raises(InputError, match="rescale"):
+            squared_distance_matrix(np.array([[big], [0.0]]), np.zeros((2, 1)))
+        with pytest.raises(InputError, match="rescale"):
+            squared_distance_matrix(np.zeros((2, 1)), np.array([[0.0], [-big]]))
+    D2 = squared_distance_matrix(np.array([[1e150]]), np.array([[-1e150]]))
+    assert D2[0, 0] == pytest.approx(4e300)
+
+
 def test_squared_distance_dimension_mismatch():
     with pytest.raises(InputError):
         squared_distance_matrix(np.ones((3, 2)), np.ones((4, 3)))
