@@ -31,13 +31,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    ConvergenceError,
-    InputError,
-    InvariantError,
-    NumericalError,
-    PlanNotConvergedError,
-)
+from .errors import InputError, NumericalError
 
 SCHEMA_VERSION = 1
 _CONFIG_REQUIRED = {"schema_version", "name", "m", "n", "p", "seed"}
@@ -218,7 +212,7 @@ def cmd_embed(args) -> int:
     from . import embedding
 
     plan, model = _plan_and_model(args)
-    emb = embedding.embed_from_model(model, plan, q=_parse_q(args.q), t=args.t)
+    emb = embedding.embed_from_model(model, q=_parse_q(args.q), t=args.t)
     _write_embedding(args.out_embedding, emb.Xt, emb.Yt)
     _write_spectrum(args.out_spectrum, model.s)
     print(
@@ -394,7 +388,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NumericalError, PlanNotConvergedError, InvariantError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import SpectralModel
+from .embedding import SpectralModel, _full_model
 from .errors import DimensionError, InputError
 from .linalg import check_int, check_real
 
@@ -35,21 +35,15 @@ class DiffusionContext:
 
     The model must hold all min(m, n) triplets of the plan between the m
     points of X and the n points of Y, so block powers and distances are
-    exact.  Both work in the caller's order, as the model does.
+    exact; a truncated model raises DimensionError.  Both work in the
+    caller's order, as the model does.
     """
 
     model: SpectralModel
     t: int
 
     def __post_init__(self):
-        if not isinstance(self.model, SpectralModel):
-            raise InputError("model must be a SpectralModel")
-        rank = min(self.m, self.n)
-        if self.model.s.size != rank:
-            raise InputError(
-                f"model must hold all {rank} triplets (got {self.model.s.size}); "
-                "diffusion formulas need the full spectrum"
-            )
+        _full_model(self.model)
         check_int(self.t, "t", 1)
 
     @property

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, PlanNotConvergedError
-from .linalg import SINGULAR_FLOOR, as_matrix, check_int, truncated_svd
+from .linalg import SINGULAR_FLOOR, check_int, truncated_svd
 from .transport import TransportPlan, transport_plan
 
 _AUTO_WINDOW = 10  # q="auto" picks q in [1, _AUTO_WINDOW], from s_1..s_{_AUTO_WINDOW+2}
@@ -44,6 +44,23 @@ class SpectralModel:
     s: np.ndarray  # (k,)
     U: np.ndarray  # (|X|, k)
     V: np.ndarray  # (|Y|, k)
+
+
+def _full_model(model) -> tuple[int, int]:
+    """Return (m, n) of a model that holds all min(m, n) triplets of its plan.
+
+    Raises InputError for a non-model and DimensionError for a truncated one;
+    the closed-form spectrum and diffusion formulas need every triplet.
+    """
+    if not isinstance(model, SpectralModel):
+        raise InputError("model must be a SpectralModel")
+    m, n = model.U.shape[0], model.V.shape[0]
+    if model.s.size != min(m, n):
+        raise DimensionError(
+            f"model must hold all {min(m, n)} triplets of an ({m}, {n}) plan "
+            f"(got {model.s.size})"
+        )
+    return m, n
 
 
 @dataclass(frozen=True)
@@ -120,26 +137,21 @@ def select_dimension(s) -> int:
     return int(np.argmax(ratios)) + 1 if ratios.size else 1
 
 
-def embed_from_model(
-    model: SpectralModel, plan: TransportPlan, q: int | str, t: int
-) -> JointEmbedding:
+def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbedding:
     """Assemble embedding coordinates from triplets 2..q+1 of a spectral model.
 
-    ``q`` is an integer in [1, min(m, n)-1] (m = |X|, n = |Y|) or "auto",
-    which picks it with :func:`select_dimension` from the model's leading
-    min(m, n, 12) values; a model holding fewer raises DimensionError.  Use
-    this instead of :func:`eot_eigenmaps` when the model is also needed for
-    other purposes (spectra, diffusion distances) and should only be
-    computed once.
+    m = |X| and n = |Y| are the row counts of the model's U and V.  ``q`` is
+    an integer in [1, min(m, n)-1] or "auto", which picks it with
+    :func:`select_dimension` from the model's leading min(m, n, 12) values;
+    a model holding fewer raises DimensionError.  Use this instead of
+    :func:`eot_eigenmaps` when the plan is already solved, or when the model
+    is also needed for other purposes (spectra, diffusion distances) and
+    should only be computed once.
     """
     if not isinstance(model, SpectralModel):
         raise InputError("model must be a SpectralModel")
-    if not isinstance(plan, TransportPlan):
-        raise InputError("plan must be a TransportPlan")
     t = check_int(t, "t", 0)
     m, n = model.U.shape[0], model.V.shape[0]
-    if (m, n) != plan.shape:
-        raise InputError(f"model is for {(m, n)} points, the plan for {plan.shape}")
     rank = min(m, n)
 
     if isinstance(q, str):
@@ -173,7 +185,6 @@ def eot_eigenmaps(
     epsilon="median",
     tol: float = 1e-10,
     max_iter: int = 10000,
-    plan: TransportPlan | None = None,
 ) -> JointEmbedding:
     """Jointly embed two clouds via the spectrum of their entropic plan.
 
@@ -187,28 +198,19 @@ def eot_eigenmaps(
         constraint-optimal alignment coordinates
     epsilon : kernel bandwidth, a positive number or "median"
     tol, max_iter : Sinkhorn convergence controls
-    plan : optionally, a precomputed plan for these clouds (epsilon/tol/
-        max_iter are then ignored; X and Y must still match its shape)
 
     Returns
     -------
     JointEmbedding in the caller's order (Xt aligns with X's rows).
     """
     check_int(t, "t", 0)
-    if plan is None:
-        plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
-    elif not isinstance(plan, TransportPlan):
-        raise InputError("plan must be a TransportPlan")
-    else:
-        rows = (as_matrix(X, "X").shape[0], as_matrix(Y, "Y").shape[0])
-        if rows != plan.shape:
-            raise InputError(f"X and Y have {rows} rows, the plan is for {plan.shape}")
+    plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
     rank = min(plan.shape)
     # A fixed q needs one triplet past its last coordinate for the tie check.
     # "auto" reads only 12 values but still factors in full: at 1 BLAS thread
     # truncated_svd at k = 12 ran slower than the dense SVD on most plans.
     k = rank if isinstance(q, str) else min(rank, check_int(q, "q", 1, rank - 1) + 2)
-    return embed_from_model(spectral_model(plan, k=k), plan, q=q, t=t)
+    return embed_from_model(spectral_model(plan, k=k), q=q, t=t)
 
 
 def embedding_cost(emb: JointEmbedding, plan: TransportPlan) -> float:

@@ -13,7 +13,15 @@ class DegenerateBandwidthError(InputError):
     """A kernel bandwidth would be zero or negative."""
 
 
-class ConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation failed numerically; the CLI exits with code 3 for this class.
+
+    The subclasses below name the failure; a computation that produced
+    non-finite or inconsistent intermediate values raises this class itself.
+    """
+
+
+class ConvergenceError(NumericalError):
     """An iterative solver exhausted its iteration budget.
 
     The last residual is attached as the ``residual`` attribute.
@@ -24,13 +32,9 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class NumericalError(RuntimeError):
-    """A computation produced non-finite or inconsistent intermediate values."""
-
-
-class PlanNotConvergedError(RuntimeError):
+class PlanNotConvergedError(NumericalError):
     """A transport plan failed its spectral certificate (leading pair not trivial)."""
 
 
-class InvariantError(RuntimeError):
+class InvariantError(NumericalError):
     """A structural invariant that downstream results rely on does not hold."""

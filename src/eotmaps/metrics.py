@@ -1,7 +1,12 @@
 """Evaluation metrics: neighborhood concordance, clustering quality, purity.
 
-All neighbor computations are exact, with a fixed tie rule: equal distances
-are broken toward the smaller point index, so every metric is deterministic.
+All neighbor computations are exact, with a fixed tie rule: equal computed
+squared distances are broken toward the smaller point index.  The rule sees
+distances as computed: the norm expansion of ``squared_distance_matrix`` can
+round x.y differently by column position (OpenBLAS does), so a point's
+distances to two coincident points with non-dyadic coordinates can differ
+by a few ulps, and either twin may rank first.  Integer and dyadic
+coordinates give exact distances.
 Distances are built 256 rows at a time; each row's k-th smallest value is
 found by selection, and only the entries at or below it are sorted.
 """
@@ -60,9 +65,11 @@ def _neighbor_balls(P: np.ndarray, k: int):
 def knn(points, k: int) -> NeighborSets:
     """Exact k nearest neighbors under Euclidean distance.
 
-    Ties are broken toward the smaller index (a stable sort on squared
-    distances).  A point is never its own neighbor.  Takes O(N^2 d) time
-    and O(256 N) memory: only each row's k-NN ball is sorted.
+    Equal computed squared distances go to the smaller index (a stable
+    sort); coincident points with non-dyadic coordinates need not compute
+    equal (see the module docstring).  A point is never its own neighbor.
+    Takes O(N^2 d) time and O(256 N) memory: only each row's k-NN ball is
+    sorted.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0] - 1)
@@ -156,28 +163,27 @@ def silhouette_mean(points, labels) -> float:
     For each point, a = mean distance to its own cluster's other members and
     b = smallest mean distance to another cluster; the width is
     (b - a) / max(a, b).  Points in singleton clusters score 0, as do points
-    where both means vanish.
+    where both means vanish.  Distances are built 256 rows at a time.
     """
     P = as_matrix(points, "points")
     labels = _validated_labels(labels, P.shape[0])
-    classes = np.unique(labels)
+    classes, own = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise InputError("need at least two distinct labels")
-    D = np.sqrt(squared_distance_matrix(P, P))
-    N = P.shape[0]
     masks = [labels == c for c in classes]
     sizes = np.array([mask.sum() for mask in masks])
-    # mean distance from every point to every cluster
-    sums = np.stack([D[:, mask].sum(axis=1) for mask in masks], axis=1)  # (N, K)
-    scores = np.zeros(N)
-    for i in range(N):
-        ci = int(np.nonzero(classes == labels[i])[0][0])
-        if sizes[ci] == 1:
-            continue
-        a = sums[i, ci] / (sizes[ci] - 1)
-        b = min(sums[i, cj] / sizes[cj] for cj in range(classes.size) if cj != ci)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    sums = np.empty((P.shape[0], classes.size))  # distance sums, every point to every cluster
+    for start in range(0, P.shape[0], _ROW_BLOCK):
+        D = np.sqrt(squared_distance_matrix(P[start : start + _ROW_BLOCK], P))
+        for c, mask in enumerate(masks):
+            sums[start : start + _ROW_BLOCK, c] = D[:, mask].sum(axis=1)
+    own_cluster = np.arange(P.shape[0]), own
+    a = sums[own_cluster] / np.maximum(sizes[own] - 1, 1)  # singletons are masked below
+    means = sums / sizes
+    means[own_cluster] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros_like(a), where=(sizes[own] > 1) & (denom > 0))
     return float(scores.mean())
 
 

@@ -8,9 +8,11 @@ adjacency
 
 and the degree-like rescaling D = diag(sqrt(m) I_m, sqrt(n) I_n) turns L
 into the similar operator L_tilde = D L D^{-1} whose complement
-P = I - L_tilde is row-stochastic.  The entire spectrum of L is a known
-function of the plan's singular values, and the eigenvectors are assembled
-from the plan's singular vectors; ``predicted_spectrum`` builds both.
+P = I - L_tilde is row-stochastic.  ``build_operators`` keeps only L and P:
+W_hat = I - L, L_tilde = I - P and W = -L[:m, m:], bit for bit.  The entire
+spectrum of L is a known function of the plan's singular values, and the
+eigenvectors are assembled from the plan's singular vectors;
+``predicted_spectrum`` builds both.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import SpectralModel
+from .embedding import SpectralModel, _full_model
 from .errors import DimensionError, InputError, InvariantError, NumericalError
 from .transport import TransportPlan
 
@@ -31,13 +33,10 @@ _AGREEMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BipartiteOperators:
-    """Dense operator bundle for one plan: adjacency, Laplacian-like L, and P."""
+    """Dense operator bundle for one plan: the Laplacian-like L and the walk P."""
 
-    What: np.ndarray  # (m+n, m+n) bipartite adjacency
-    L: np.ndarray  # I - What
-    D: np.ndarray  # diagonal rescaling as a vector of length m+n
-    Ltilde: np.ndarray  # D L D^{-1}
-    P: np.ndarray  # I - Ltilde, row-stochastic
+    L: np.ndarray  # (m+n, m+n) I - W_hat
+    P: np.ndarray  # (m+n, m+n) I - D L D^{-1}, row-stochastic
     m: int
     n: int
 
@@ -45,9 +44,10 @@ class BipartiteOperators:
 def build_operators(plan: TransportPlan, max_size: int = DEFAULT_MAX_SIZE) -> BipartiteOperators:
     """Assemble the dense bipartite operators for a converged plan.
 
-    Requires m + n <= max_size (these are dense (m+n)^2 matrices) and a plan
-    whose relative marginal violation is at or below 1e-10, since the
-    row-stochasticity of P inherits exactly that violation.
+    Requires m + n <= max_size (L and P are dense (m+n)^2 matrices) and a
+    plan whose relative marginal violation is at or below 1e-10, since the
+    row-stochasticity of P inherits exactly that violation.  The adjacency
+    W_hat, the rescaling D and L_tilde are built on the way and dropped.
     """
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
@@ -81,16 +81,16 @@ def build_operators(plan: TransportPlan, max_size: int = DEFAULT_MAX_SIZE) -> Bi
     row_err = np.abs(P.sum(axis=1) - 1.0).max()
     if row_err > _ROW_STOCHASTIC_TOL:
         raise InvariantError(f"P is not row-stochastic within {_ROW_STOCHASTIC_TOL:g} ({row_err:.3e})")
-    return BipartiteOperators(What=What, L=L, D=D, Ltilde=Ltilde, P=P, m=m, n=n)
+    return BipartiteOperators(L=L, P=P, m=m, n=n)
 
 
-def predicted_spectrum(model: SpectralModel, m: int, n: int):
+def predicted_spectrum(model: SpectralModel):
     """Closed-form spectrum of L from the plan's full set of singular triplets.
 
     Parameters
     ----------
-    model : SpectralModel holding all r = min(m, n) triplets of the plan
-    m, n : the plan's shape, |X| and |Y|
+    model : SpectralModel holding all r = min(m, n) triplets of the plan;
+        m = |X| and n = |Y| are the row counts of its U and V
 
     Returns
     -------
@@ -107,15 +107,9 @@ def predicted_spectrum(model: SpectralModel, m: int, n: int):
     against L) are comparable across implementations; the completion used
     here is the deterministic QR completion of the taller factor's span.
     """
-    if not isinstance(model, SpectralModel):
-        raise InputError("model must be a SpectralModel")
+    m, n = _full_model(model)
     s, U, V = model.s, model.U, model.V
-    r = min(m, n)
-    if U.shape != (m, r) or V.shape != (n, r):
-        raise DimensionError(
-            f"model must hold all {r} triplets of an ({m}, {n}) plan; "
-            f"got U {U.shape}, V {V.shape}"
-        )
+    r = s.size
 
     values = np.concatenate([1.0 - s, np.ones(abs(n - m)), (1.0 + s)[::-1]])
 
@@ -152,7 +146,7 @@ def quadratic_form(ops: BipartiteOperators, f) -> float:
 
     matrix_value = float(f @ (ops.L @ f))
 
-    W = ops.What[: ops.m, ops.m :]
+    W = -ops.L[: ops.m, ops.m :]
     g = f[: ops.m]
     h = f[ops.m :]
     diffs = np.sqrt(ops.m) * g[:, None] - np.sqrt(ops.n) * h[None, :]

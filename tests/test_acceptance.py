@@ -161,7 +161,7 @@ def test_c04_laplacian_spectrum():
     m, n = plan.shape
     model = spectral_model(plan, m)
 
-    values, _ = predicted_spectrum(model, m, n)
+    values, _ = predicted_spectrum(model)
 
     # independent dense route, assembled here from the raw plan
     W = plan.W
@@ -209,7 +209,7 @@ def test_c05_alignment_optimality():
     plan = transport_plan(X, Y, tol=1e-12)
     m, n = plan.shape
     model = spectral_model(plan, q + 1)
-    emb = embed_from_model(model, plan, q=q, t=0)
+    emb = embed_from_model(model, q=q, t=0)
 
     # feasibility of the embedding itself
     for block, size in ((emb.Xt, m), (emb.Yt, n)):
@@ -245,7 +245,7 @@ def test_c06_diffusion_identities():
 
     for t in (1, 2, 3):
         ctx = DiffusionContext(model=model, t=t)
-        emb = embed_from_model(model, plan, q=m - 1, t=t)
+        emb = embed_from_model(model, q=m - 1, t=t)
         Pt = np.linalg.matrix_power(ops.P, t)
         weights = np.concatenate([np.full(m, float(m)), np.full(n, float(n))])
 

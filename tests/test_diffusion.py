@@ -8,7 +8,7 @@ from eotmaps import (
     block_power,
     build_operators,
     diffusion_distance,
-    eot_eigenmaps,
+    embed_from_model,
     spectral_model,
     transport_plan,
     truncation_bound,
@@ -124,10 +124,10 @@ def test_distances_form_a_metric_on_the_union(setup):
 
 
 def test_distance_equals_full_embedding_distance(setup):
-    X, Y, plan, model, _ = setup
+    *_, model, _ = setup
     for t in (1, 2, 3):
         ctx = DiffusionContext(model, t)
-        emb = eot_eigenmaps(X, Y, q=M - 1, t=t, plan=plan)
+        emb = embed_from_model(model, q=M - 1, t=t)
         i, j = 3, 6
         assert diffusion_distance(ctx, "XX", i, j) == pytest.approx(
             np.linalg.norm(emb.Xt[i] - emb.Xt[j]), abs=1e-10
@@ -149,13 +149,13 @@ def test_distance_symmetry_and_identity(setup):
 
 
 def test_truncation_residual_within_bound(setup):
-    X, Y, plan, model, _ = setup
+    _, _, plan, model, _ = setup
     rng = np.random.default_rng(5)
     for _ in range(50):
         t = int(rng.integers(1, 4))
         q = int(rng.integers(1, M - 1))
         ctx = DiffusionContext(model, t)
-        emb = eot_eigenmaps(X, Y, q=q, t=t, plan=plan)
+        emb = embed_from_model(spectral_model(plan, k=min(M, q + 2)), q=q, t=t)
         kind = ("XX", "YY", "XY")[rng.integers(3)]
         if kind == "XX":
             i, j = rng.integers(M), rng.integers(M)
@@ -239,7 +239,7 @@ def oriented(request):
 def test_swapped_plan_distances_index_the_callers_clouds(oriented):
     X, Y, plan, ctx = oriented
     assert (ctx.m, ctx.n) == (len(X), len(Y))
-    emb = eot_eigenmaps(X, Y, q=39, t=2, plan=plan)
+    emb = embed_from_model(ctx.model, q=39, t=2)
     for kind, rows_i, rows_j in (("XX", emb.Xt, emb.Xt), ("YY", emb.Yt, emb.Yt),
                                  ("XY", emb.Xt, emb.Yt)):
         i, j = len(rows_i) - 1, len(rows_j) - 2

@@ -18,8 +18,6 @@ from eotmaps import (
     transport_plan,
 )
 
-RNG = np.random.default_rng(41)
-
 
 @pytest.fixture(scope="module")
 def pair():
@@ -29,6 +27,13 @@ def pair():
     X = np.column_stack([np.cos(theta), np.sin(theta), 0.1 * rng.normal(size=12)])
     Y = np.column_stack([np.cos(phi), np.sin(phi), 0.1 * rng.normal(size=17)])
     return X, Y, transport_plan(X, Y)
+
+
+def embed(plan, q, t=0):
+    """eot_eigenmaps's route on a solved plan: the same k, so the same bits."""
+    rank = min(plan.shape)
+    k = rank if q == "auto" else min(rank, q + 2)
+    return embed_from_model(spectral_model(plan, k=k), q=q, t=t)
 
 
 def brute_force_cost(Xt, Yt, W):
@@ -115,7 +120,7 @@ def test_embedding_matches_triplet_formula(pair):
     m, n = plan.shape
     q, t = 4, 3
     model = spectral_model(plan, k=m)
-    emb = eot_eigenmaps(X, Y, q=q, t=t, plan=plan)
+    emb = embed(plan, q, t)
     factors = model.s[1 : q + 1] ** t
     np.testing.assert_allclose(emb.Xt, np.sqrt(m) * model.U[:, 1 : q + 1] * factors, atol=1e-12)
     np.testing.assert_allclose(emb.Yt, np.sqrt(n) * model.V[:, 1 : q + 1] * factors, atol=1e-12)
@@ -126,7 +131,7 @@ def test_embedding_matches_triplet_formula(pair):
 def test_embedding_time_zero_constraints(pair):
     # at t=0 each block has zero column means, identity second-moment matrix
     X, Y, plan = pair
-    emb = eot_eigenmaps(X, Y, q=5, t=0, plan=plan)
+    emb = embed(plan, 5)
     for block in (emb.Xt, emb.Yt):
         N = block.shape[0]
         np.testing.assert_allclose(block.sum(axis=0), 0.0, atol=1e-8)
@@ -135,8 +140,8 @@ def test_embedding_time_zero_constraints(pair):
 
 def test_embedding_time_scaling(pair):
     X, Y, plan = pair
-    base = eot_eigenmaps(X, Y, q=4, t=0, plan=plan)
-    later = eot_eigenmaps(X, Y, q=4, t=2, plan=plan)
+    base = embed(plan, 4)
+    later = embed(plan, 4, t=2)
     np.testing.assert_allclose(later.Xt, base.Xt * base.s_used**2, atol=1e-12)
     np.testing.assert_allclose(later.Yt, base.Yt * base.s_used**2, atol=1e-12)
 
@@ -148,7 +153,7 @@ def test_embedding_cost_identity(pair):
     m, n = plan.shape
     model = spectral_model(plan, k=m)
     for q in (1, 3, m - 1):
-        emb = eot_eigenmaps(X, Y, q=q, t=0, plan=plan)
+        emb = embed(plan, q)
         J = embedding_cost(emb, plan)
         expected = 2.0 * np.sqrt(m * n) * np.sum(1.0 - model.s[1 : q + 1])
         assert J == pytest.approx(expected, abs=1e-9)
@@ -157,7 +162,7 @@ def test_embedding_cost_identity(pair):
 
 def test_embedding_swap_round_trip(pair):
     X, Y, plan = pair
-    fwd = eot_eigenmaps(X, Y, q=3, t=1, plan=plan)
+    fwd = embed(plan, 3, t=1)
     rev = eot_eigenmaps(Y, X, q=3, t=1)
     assert fwd.Xt.shape == (len(X), 3) and fwd.Yt.shape == (len(Y), 3)
     np.testing.assert_allclose(rev.Xt, fwd.Yt, atol=1e-9)
@@ -172,7 +177,7 @@ def test_embedding_swap_round_trip(pair):
 
 def test_embedding_auto_dimension(pair):
     X, Y, plan = pair
-    emb = eot_eigenmaps(X, Y, q="auto", plan=plan)
+    emb = embed(plan, "auto")
     model = spectral_model(plan, k=plan.shape[0])
     assert emb.q == select_dimension(model.s[:12])
     assert 1 <= emb.q <= 10
@@ -197,7 +202,7 @@ def test_embedding_auto_floor_on_uniform_plan(monkeypatch):
     plan = transport_plan(X, X, epsilon=1.0)
     model = spectral_model(plan, k=6)
     with pytest.warns(RuntimeWarning, match="rotation"):
-        emb = embed_from_model(model, plan, q="auto", t=0)
+        emb = embed_from_model(model, q="auto", t=0)
     assert emb.q == 1
     monkeypatch.setattr(embedding, "SINGULAR_FLOOR", 0.0)
     assert select_dimension(model.s) == 2
@@ -238,9 +243,9 @@ def test_embedding_subspace_path_repeatable(large_pair, subspace_outcomes):
 
 def test_embedding_subspace_path_matches_full_model(large_pair, subspace_outcomes):
     X, Y, plan = large_pair
-    emb = eot_eigenmaps(X, Y, q=3, plan=plan)
+    emb = embed(plan, 3)
     assert subspace_outcomes == [True]
-    full = embed_from_model(spectral_model(plan, k=plan.shape[0]), plan, q=3, t=0)
+    full = embed_from_model(spectral_model(plan, k=plan.shape[0]), q=3, t=0)
     np.testing.assert_allclose(emb.Xt, full.Xt, rtol=0, atol=1e-10)
     np.testing.assert_allclose(emb.Yt, full.Yt, rtol=0, atol=1e-10)
     np.testing.assert_allclose(emb.s_used, full.s_used, rtol=0, atol=1e-10)
@@ -261,82 +266,53 @@ def test_embed_from_model_matches_and_validates(pair):
     X, Y, plan = pair
     m, _ = plan.shape
     model = spectral_model(plan, k=m)
-    direct = eot_eigenmaps(X, Y, q=3, t=2, plan=plan)
-    via_model = embed_from_model(model, plan, q=3, t=2)
+    direct = eot_eigenmaps(X, Y, q=3, t=2)
+    via_model = embed_from_model(model, q=3, t=2)
     np.testing.assert_array_equal(via_model.Xt, direct.Xt)
     np.testing.assert_array_equal(via_model.Yt, direct.Yt)
 
     with pytest.raises(DimensionError):
-        embed_from_model(model, plan, q=0, t=0)
+        embed_from_model(model, q=0, t=0)
     with pytest.raises(DimensionError):
-        embed_from_model(model, plan, q=m, t=0)
+        embed_from_model(model, q=m, t=0)
     with pytest.raises(InputError):
-        embed_from_model(model, plan, q=2, t=-1)
+        embed_from_model(model, q=2, t=-1)
     small = spectral_model(plan, k=3)
     with pytest.raises(DimensionError):
-        embed_from_model(small, plan, q=5, t=0)
+        embed_from_model(small, q=5, t=0)
     with pytest.raises(DimensionError):
-        embed_from_model(small, plan, q="auto", t=0)
+        embed_from_model(small, q="auto", t=0)
     with pytest.raises(InputError):
-        embed_from_model(model, plan, q="three", t=0)
+        embed_from_model(model, q="three", t=0)
 
-    auto = embed_from_model(model, plan, q="auto", t=0)
-    np.testing.assert_array_equal(auto.Xt, eot_eigenmaps(X, Y, q="auto", plan=plan).Xt)
-
-    other = transport_plan(RNG.normal(size=(9, 2)), RNG.normal(size=(11, 2)))
-    with pytest.raises(InputError):
-        embed_from_model(model, other, q=2, t=0)
-
-
-def test_embed_from_model_rejects_a_reversed_model():
-    # a model of the (Y, X) plan has U for Y: its 40 rows would become the
-    # coordinates of a 60-point X
-    rng = np.random.default_rng(5)
-    X, Y = rng.normal(size=(60, 2)), rng.normal(size=(40, 2))
-    reversed_model = spectral_model(transport_plan(Y, X), k=40)
-    with pytest.raises(InputError):
-        embed_from_model(reversed_model, transport_plan(X, Y), q=3, t=0)
+    auto = embed_from_model(model, q="auto", t=0)
+    np.testing.assert_array_equal(auto.Xt, eot_eigenmaps(X, Y, q="auto").Xt)
 
 
 def test_embed_from_model_auto_reads_twelve_values(large_pair):
     _, _, plan = large_pair
-    full = embed_from_model(spectral_model(plan, k=plan.shape[0]), plan, q="auto", t=1)
-    lead = embed_from_model(spectral_model(plan, k=12), plan, q="auto", t=1)
+    full = embed_from_model(spectral_model(plan, k=plan.shape[0]), q="auto", t=1)
+    lead = embed_from_model(spectral_model(plan, k=12), q="auto", t=1)
     assert lead.q == full.q <= 10
     np.testing.assert_allclose(lead.Xt, full.Xt, rtol=0, atol=1e-8)
     np.testing.assert_allclose(lead.Yt, full.Yt, rtol=0, atol=1e-8)
     with pytest.raises(DimensionError):
-        embed_from_model(spectral_model(plan, k=11), plan, q="auto", t=1)
-
-
-def test_eot_eigenmaps_checks_clouds_against_plan():
-    rng = np.random.default_rng(5)
-    X, Y = rng.normal(size=(30, 3)), rng.normal(size=(40, 3))
-    plan = transport_plan(X, Y)
-    with pytest.raises(InputError):
-        eot_eigenmaps(rng.normal(size=(7, 5)), "not even an array", q=2, plan=plan)
-    with pytest.raises(InputError):
-        eot_eigenmaps(X, Y[:39], q=2, plan=plan)
-    with pytest.raises(InputError):
-        eot_eigenmaps(Y, X, q=2, plan=plan)  # exchanged
-    with pytest.raises(InputError):
-        eot_eigenmaps(X, Y, q=2, plan="plan")
-    assert eot_eigenmaps(X, Y, q=2, plan=plan).Xt.shape == (30, 2)
+        embed_from_model(spectral_model(plan, k=11), q="auto", t=1)
 
 
 def test_eot_eigenmaps_validation(pair):
-    X, Y, plan = pair
+    X, Y, _ = pair
     with pytest.raises(InputError):
-        eot_eigenmaps(X, Y, q="three", plan=plan)
+        eot_eigenmaps(X, Y, q="three")
     with pytest.raises(InputError):
-        eot_eigenmaps(X, Y, t=1.5, plan=plan)
+        eot_eigenmaps(X, Y, t=1.5)
     with pytest.raises(DimensionError):
-        eot_eigenmaps(X, Y, q=len(X), plan=plan)
+        eot_eigenmaps(X, Y, q=len(X))
 
 
 def test_embedding_cost_validation(pair):
     X, Y, plan = pair
-    emb = eot_eigenmaps(X, Y, q=2, plan=plan)
+    emb = embed(plan, 2)
     with pytest.raises(InputError):
         embedding_cost(emb, transport_plan(X[:5], Y))
     with pytest.raises(InputError):
@@ -357,6 +333,6 @@ def test_spectral_model_factors_follow_the_callers_order(pair):
     np.testing.assert_array_equal(model.U, reference.V)
     np.testing.assert_array_equal(model.V, reference.U)
 
-    emb = embed_from_model(model, swapped, q=3, t=1)
-    np.testing.assert_array_equal(emb.Xt, eot_eigenmaps(X, Y, q=3, t=1, plan=swapped).Xt)
+    emb = embed_from_model(model, q=3, t=1)
+    np.testing.assert_array_equal(emb.Xt, eot_eigenmaps(X, Y, q=3, t=1).Xt)
     assert emb.Xt.shape == (len(X), 3) and emb.Yt.shape == (len(Y), 3)

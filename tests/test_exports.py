@@ -1,7 +1,49 @@
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
 import eotmaps
+from eotmaps import (
+    ConvergenceError,
+    InvariantError,
+    NumericalError,
+    PlanNotConvergedError,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves():
     # __init__ resolves names lazily, so a stale entry only fails on access
     for name in eotmaps.__all__:
         assert getattr(eotmaps, name) is not None, name
+
+
+@pytest.mark.parametrize("cls", [ConvergenceError, PlanNotConvergedError, InvariantError])
+def test_numerical_failures_share_one_base(cls):
+    # the CLI maps NumericalError, and only it, to exit code 3
+    assert issubclass(cls, NumericalError)
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # the benchmark's tracer replaces these module globals by name, so a
+    # renamed or dropped function would only fail in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "neighborhood concordance:" in capsys.readouterr().out

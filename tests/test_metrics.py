@@ -220,6 +220,38 @@ def test_silhouette_singleton_scores_zero():
     assert val == pytest.approx(expected, abs=1e-12)
 
 
+def silhouette_loop(P, labels):
+    """Reference: the full N x N distance matrix and one Python step per point."""
+    classes = np.unique(labels)
+    D = np.sqrt(squared_distance_matrix(P, P))
+    masks = [labels == c for c in classes]
+    sizes = np.array([mask.sum() for mask in masks])
+    sums = np.stack([D[:, mask].sum(axis=1) for mask in masks], axis=1)
+    scores = np.zeros(P.shape[0])
+    for i in range(P.shape[0]):
+        ci = int(np.nonzero(classes == labels[i])[0][0])
+        if sizes[ci] == 1:
+            continue
+        a = sums[i, ci] / (sizes[ci] - 1)
+        b = min(sums[i, cj] / sizes[cj] for cj in range(classes.size) if cj != ci)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("N", [40, 257, 600])
+def test_silhouette_matches_the_per_point_loop(N):
+    # 257 and 600 cross the 256-row blocks; label 5 is a singleton cluster
+    rng = np.random.default_rng(N)
+    labels = rng.integers(0, 5, size=N)
+    labels[N // 2] = 5
+    P = rng.normal(size=(N, 6)) + 2.0 * labels[:, None]
+    assert silhouette_mean(P, labels) == silhouette_loop(P, labels)
+    # all points coincident: both means vanish and every width is 0
+    zeros, halves = np.zeros((4, 1)), np.array([0, 0, 1, 1])
+    assert silhouette_mean(zeros, halves) == silhouette_loop(zeros, halves) == 0.0
+
+
 def test_silhouette_requires_two_classes():
     with pytest.raises(InputError):
         silhouette_mean(np.zeros((3, 1)), [1, 1, 1])
