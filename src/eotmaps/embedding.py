@@ -206,10 +206,9 @@ def eot_eigenmaps(
     check_int(t, "t", 0)
     plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
     rank = min(plan.shape)
-    # A fixed q needs one triplet past its last coordinate for the tie check.
-    # "auto" reads only 12 values but still factors in full: at 1 BLAS thread
-    # truncated_svd at k = 12 ran slower than the dense SVD on most plans.
-    k = rank if isinstance(q, str) else min(rank, check_int(q, "q", 1, rank - 1) + 2)
+    # A fixed q needs one triplet past its last coordinate for the tie check;
+    # "auto" reads the leading 12 values.
+    k = min(rank, (_AUTO_WINDOW if isinstance(q, str) else check_int(q, "q", 1, rank - 1)) + 2)
     return embed_from_model(spectral_model(plan, k=k), q=q, t=t)
 
 

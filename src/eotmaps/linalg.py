@@ -9,19 +9,17 @@ through ``truncated_svd``, so its conventions are pinned once:
 * the sign of each left singular vector is fixed by making its
   largest-magnitude entry positive (first such entry on ties), and the
   right vector flips with it, so ``u^T A v = s >= 0`` holds by
-  construction on both paths.
+  construction on every path.
 
-``truncated_svd`` has two paths.  When few triplets are asked for
-(4 * (k + 4) <= min(m, n)) it runs block subspace iteration (Halko,
-Martinsson & Tropp 2011, "Finding structure with randomness", SIAM Review)
-from a fixed Philox start block and certifies every returned triplet by
-its two-sided residual; an iteration budget tied to the cost of a dense SVD
-sends slowly converging inputs to the dense path.  Otherwise it runs one
-thin dense SVD of the wide orientation and slices it.
+``truncated_svd`` tries three paths in order: block subspace iteration
+(Halko, Martinsson & Tropp 2011, "Finding structure with randomness", SIAM
+Review), the eigenpairs of the small-side Gram matrix, and a thin dense SVD.
+The first two certify every triplet by its two-sided residual.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -124,10 +122,10 @@ def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
 
     For each triplet the entry of u with the largest magnitude is made
     positive, and v flips with u; entries within a relative _TIE_TOL of that
-    magnitude count as tied, and the first of them decides.  Both paths hand
-    over pairs with u^T A v = s >= 0 (the dense SVD factors A = U S V^T; the
-    subspace triplets come from the SVD of P^T A Q and pass the two-sided
-    certificate), and a joint flip keeps that product, so no check against
+    magnitude count as tied, and the first of them decides.  Every path
+    hands over pairs with u^T A v = s >= 0 (A = U S V^T on the dense path;
+    A^T u = s v by construction and the two-sided certificate on the
+    others), and a joint flip keeps that product, so no check against
     A is needed.  At or below SINGULAR_FLOOR the product carries no sign
     information, so v gets the largest-entry rule independently.
     """
@@ -147,33 +145,36 @@ def _largest_entry_signs(M: np.ndarray) -> np.ndarray:
 
 
 def _subspace_svd(A: np.ndarray, k: int):
-    """Leading k triplets of A by block subspace iteration, or None.
+    """Leading k triplets of A by block subspace iteration (or None), and the step count.
 
     Each step maps an orthonormal n x b block Q to P = orth(A Q), then
     A^T P = Q' R, and takes the Ritz triplets from the SVD of the b x b
-    factor R^T = P^T A Q'.  A^T U = V S then holds by construction, and
-    ||A V - U S|| is read from the next A Q' product, so the stopping test
-    costs no extra pass over A.  The step budget is the Golub-Van Loan flop
-    count of a dense thin SVD of an l x r matrix, r <= l (6 l r^2 + 20 r^3),
-    over the 4 l r b flops of one step's two block products; when it runs
-    out the caller falls back to the dense path (None).  Triplets that stop
-    but fail the two-sided residual certificate raise NumericalError.
+    factor R^T = P^T A Q'.  A^T U = V S holds by construction, and
+    ||A V - U S|| is read from the next A Q' product.  From the third
+    residual on, rho = sqrt(r_j / r_{j-2}) (Ritz residuals can alternate)
+    predicts the steps left to _STOP_TOL; if those, at two b-column passes
+    over A each, would cost more than one r-column pass, r = min(m, n), the
+    loop hands off (None).  The count is the number of A Q products.
+    Triplets that stop but fail the certificate raise NumericalError.
     """
-    m, n = A.shape
-    r, l = min(m, n), max(m, n)
+    r, n = min(A.shape), A.shape[1]
     b = k + _OVERSAMPLE
-    budget = (6 * l * r**2 + 20 * r**3) // (4 * l * r * b)
     rng = np.random.Generator(np.random.Philox(key=_START_KEY))
     Q = np.linalg.qr(rng.standard_normal((n, b)))[0]
     s = None
-    previous = np.inf
-    for _ in range(budget):
+    residuals = []
+    for steps in itertools.count(1):
         AQ = A @ Q
         if s is not None:
             residual = np.linalg.norm(AQ @ Vs - U * s, axis=0).max()
-            if residual <= _STOP_TOL * s[0] or previous <= residual <= _FLOOR_TOL * s[0]:
+            stalled = residuals and residuals[-1] <= residual <= _FLOOR_TOL * s[0]
+            if residual <= _STOP_TOL * s[0] or stalled:
                 break
-            previous = residual
+            residuals.append(residual)
+            if len(residuals) >= 3:
+                rho = np.sqrt(residual / residuals[-3])  # NaN when the norms overflow
+                if not rho < 1.0 or np.log(_STOP_TOL * s[0] / residual) / np.log(rho) * 2 * b > r:
+                    return None, steps
         P = np.linalg.qr(AQ)[0]
         # (P^T A)^T reads a C-ordered A along its rows: 2-3x faster than
         # A.T @ P with OpenBLAS on 2 threads.
@@ -182,20 +183,51 @@ def _subspace_svd(A: np.ndarray, k: int):
         s = s_all[:k]
         U = P @ Us[:, :k]
         Vs = np.ascontiguousarray(Vst[:k].T)
-    else:
-        return None
 
     V = Q @ Vs
-    residual = max(
-        np.linalg.norm(A @ V - U * s, axis=0).max(),
-        np.linalg.norm((U.T @ A).T - V * s, axis=0).max(),
-    )
+    residual = _residual(A, s, U, V)
     if not residual <= _CERTIFICATE_TOL * s[0]:
         raise NumericalError(
             f"subspace iteration residual {residual:.3e} exceeds "
             f"{_CERTIFICATE_TOL:g} * s_1 = {_CERTIFICATE_TOL * s[0]:.3e}"
         )
-    return s, U, V
+    return (s, U, V), steps
+
+
+def _gram_svd(A: np.ndarray, k: int):
+    """Leading k triplets from eigh(W W^T), W the wide orientation of A, or None.
+
+    The long-side vectors are W^T u / s.  W W^T rounds at about eps * s_1^2,
+    so values near sqrt(eps) * s_1 fail the certificate: None (dense path).
+    """
+    W = A if A.shape[0] <= A.shape[1] else A.T
+    try:
+        lam, Z = np.linalg.eigh(W @ W.T)
+    except np.linalg.LinAlgError:  # W W^T overflowed, or eigh did not converge
+        return None
+    lam, Z = lam[::-1][:k], Z[:, ::-1][:, :k]
+    if not lam[-1] > 0.0:
+        return None
+    s = np.sqrt(lam)
+    X = (Z.T @ W).T / s
+    U, V = (Z, X) if W is A else (X, Z)
+    return (s, U, V) if _residual(A, s, U, V) <= _CERTIFICATE_TOL * s[0] else None
+
+
+def _dense_svd(A: np.ndarray, k: int):
+    """Leading k triplets sliced from one thin dense SVD of A's wide orientation."""
+    W = A if A.shape[0] <= A.shape[1] else A.T
+    L, s, Rt = np.linalg.svd(W, full_matrices=False)
+    U, V = (L, Rt.T) if W is A else (Rt.T, L)
+    return s[:k], U[:, :k], V[:, :k]
+
+
+def _residual(A: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
+    """Largest ||A v - s u|| or ||A^T u - s v|| over the triplets."""
+    return max(
+        np.linalg.norm(A @ V - U * s, axis=0).max(),
+        np.linalg.norm((U.T @ A).T - V * s, axis=0).max(),
+    )
 
 
 def truncated_svd(A, k: int):
@@ -212,38 +244,33 @@ def truncated_svd(A, k: int):
     U : (m, k) left singular vectors, orthonormal columns
     V : (n, k) right singular vectors, orthonormal columns
 
-    When 4 * (k + 4) <= min(m, n) the triplets come from block subspace
-    iteration with k + 4 vectors, started from a fixed Philox stream and
-    stopped once ||A v - s u|| <= 1e-14 * s_1 for every triplet, or once
-    that residual is below 1e-12 * s_1 and has stopped falling.  Before
-    they are returned, both ||A v - s u|| and ||A^T u - s v|| must be at most
-    1e-10 * s_1, else NumericalError is raised.  If the iteration has not
-    stopped within the flop budget of a dense SVD (clustered leading
-    values), or k is larger, one thin dense SVD of A (or of A^T when A is
-    tall) is sliced instead; running out of memory there raises InputError
-    naming the size.  Signs follow the module convention on
-    both paths, so u^T A v = s >= 0 holds by construction and results are
-    reproducible bit-for-bit on identical input.
+    When 4 * (k + 4) <= r = min(m, n), block subspace iteration with k + 4
+    vectors from a fixed Philox start stops once ||A v - s u|| <= 1e-14 * s_1
+    for every triplet (or once it is below 1e-12 * s_1 and no longer falls).
+    It hands off to the eigenpairs of the r x r Gram matrix when its
+    residuals' contraction predicts more work than one r-column pass over A.
+    Both paths return only triplets with ||A v - s u|| and ||A^T u - s v||
+    at most 1e-10 * s_1; a failing subspace result raises NumericalError,
+    and a failing Gram one goes to a thin dense SVD of A (or of A^T when A
+    is tall), sliced, which also serves larger k.  Running out of memory
+    raises InputError naming the size.  Signs follow the module convention
+    on every path, so u^T A v = s >= 0 holds by construction and results
+    are reproducible bit-for-bit on identical input.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
     k = check_int(k, "k", 1, min(m, n))
 
     triplets = None
-    if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
-        triplets = _subspace_svd(A, k)
-    if triplets is None:
-        # One call on the wide orientation (A^T for tall inputs such as
-        # pca_embed's data matrices).
-        try:
-            L, s_full, Rt = np.linalg.svd(A if m <= n else A.T, full_matrices=False)
-        except MemoryError as exc:
-            raise InputError(
-                f"the dense SVD of a {m} x {n} matrix does not fit in memory "
-                f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
-            ) from exc
-        U_full, V_full = (L, Rt.T) if m <= n else (Rt.T, L)
-        triplets = (s_full[:k], U_full[:, :k], V_full[:, :k])
+    try:
+        if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
+            triplets = _subspace_svd(A, k)[0] or _gram_svd(A, k)
+        triplets = triplets or _dense_svd(A, k)
+    except MemoryError as exc:
+        raise InputError(
+            f"the dense SVD of a {m} x {n} matrix does not fit in memory "
+            f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
+        ) from exc
     s, U, V = (np.ascontiguousarray(x) for x in triplets)
     _fix_singular_signs(s, U, V)
 

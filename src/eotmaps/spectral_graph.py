@@ -46,8 +46,8 @@ def build_operators(plan: TransportPlan, max_size: int = DEFAULT_MAX_SIZE) -> Bi
 
     Requires m + n <= max_size (L and P are dense (m+n)^2 matrices) and a
     plan whose relative marginal violation is at or below 1e-10, since the
-    row-stochasticity of P inherits exactly that violation.  The adjacency
-    W_hat, the rescaling D and L_tilde are built on the way and dropped.
+    row-stochasticity of P inherits exactly that violation.  L and P are the
+    only (m+n)^2 arrays the build allocates.
     """
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
@@ -69,14 +69,15 @@ def build_operators(plan: TransportPlan, max_size: int = DEFAULT_MAX_SIZE) -> Bi
             "re-solve with a tighter tolerance before building graph operators"
         )
 
+    # Block by block, with the rounding of I - W_hat and I - (D L) / D:
+    # P's diagonal is 1 - (D_i * 1) / D_i = 0, its other blocks D_i W_ij / D_j.
     N = m + n
-    What = np.zeros((N, N))
-    What[:m, m:] = plan.W
-    What[m:, :m] = plan.W.T
-    L = np.eye(N) - What
-    D = np.concatenate([np.full(m, np.sqrt(m)), np.full(n, np.sqrt(n))])
-    Ltilde = (D[:, None] * L) / D[None, :]
-    P = np.eye(N) - Ltilde
+    L, P = np.eye(N), np.zeros((N, N))
+    for rows, cols, block, a, b in ((np.s_[:m], np.s_[m:], plan.W, m, n),
+                                    (np.s_[m:], np.s_[:m], plan.W.T, n, m)):
+        np.negative(block, out=L[rows, cols])
+        np.multiply(block, np.sqrt(a), out=P[rows, cols])
+        P[rows, cols] /= np.sqrt(b)
 
     row_err = np.abs(P.sum(axis=1) - 1.0).max()
     if row_err > _ROW_STOCHASTIC_TOL:

@@ -6,9 +6,9 @@ PASS/FAIL`` line per criterion in the terminal summary, where pytest's
 output capture cannot swallow it.  Criterion 11 includes the whole-session
 wall time against its 10-minute budget.
 
-Also provides ``subspace_outcomes``, which records whether each call to
-``truncated_svd``'s block subspace iteration returned triplets (True) or
-ran out of its budget and left the call to the dense path (False).
+Also provides ``svd_paths``, which records the path that served each call
+to ``truncated_svd``: "subspace" (block subspace iteration), "gram" (the
+small-side Gram eigensolve) or "dense" (the sliced dense SVD).
 """
 
 import re
@@ -53,16 +53,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def subspace_outcomes(monkeypatch):
+def svd_paths(monkeypatch):
     import eotmaps.linalg as linalg
 
-    outcomes = []
-    original = linalg._subspace_svd
+    paths = []
 
-    def spy(A, k):
-        result = original(A, k)
-        outcomes.append(result is not None)
-        return result
+    def spy(name, original, served):
+        def wrapper(A, k):
+            result = original(A, k)
+            if served(result):
+                paths.append(name)
+            return result
 
-    monkeypatch.setattr(linalg, "_subspace_svd", spy)
-    return outcomes
+        return wrapper
+
+    for name, served in [
+        ("subspace", lambda result: result[0] is not None),
+        ("gram", lambda result: result is not None),
+        ("dense", lambda result: True),
+    ]:
+        original = getattr(linalg, f"_{name}_svd")
+        monkeypatch.setattr(linalg, f"_{name}_svd", spy(name, original, served))
+    return paths

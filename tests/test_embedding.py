@@ -231,27 +231,27 @@ def large_pair():
     return X, Y, transport_plan(X, Y)
 
 
-def test_embedding_subspace_path_repeatable(large_pair, subspace_outcomes):
+def test_embedding_subspace_path_repeatable(large_pair, svd_paths):
     X, Y, _ = large_pair
     first = eot_eigenmaps(X, Y, q=3)
     second = eot_eigenmaps(X.copy(), Y.copy(), q=3)
-    assert subspace_outcomes == [True, True]
+    assert svd_paths == ["subspace", "subspace"]
     np.testing.assert_array_equal(first.Xt, second.Xt)
     np.testing.assert_array_equal(first.Yt, second.Yt)
     np.testing.assert_array_equal(first.s_used, second.s_used)
 
 
-def test_embedding_subspace_path_matches_full_model(large_pair, subspace_outcomes):
+def test_embedding_subspace_path_matches_full_model(large_pair, svd_paths):
     X, Y, plan = large_pair
     emb = embed(plan, 3)
-    assert subspace_outcomes == [True]
+    assert svd_paths == ["subspace"]
     full = embed_from_model(spectral_model(plan, k=plan.shape[0]), q=3, t=0)
     np.testing.assert_allclose(emb.Xt, full.Xt, rtol=0, atol=1e-10)
     np.testing.assert_allclose(emb.Yt, full.Yt, rtol=0, atol=1e-10)
     np.testing.assert_allclose(emb.s_used, full.s_used, rtol=0, atol=1e-10)
 
 
-def test_embedding_subspace_path_tied_values_warn(subspace_outcomes):
+def test_embedding_subspace_path_tied_values_warn(svd_paths):
     # 40 evenly spaced points on a circle give a circulant kernel whose
     # second and third singular values coincide (the first Fourier pair);
     # q = 1 asks for 3 triplets, which takes the subspace path.
@@ -259,7 +259,7 @@ def test_embedding_subspace_path_tied_values_warn(subspace_outcomes):
     X = np.column_stack([np.cos(theta), np.sin(theta)])
     with pytest.warns(RuntimeWarning, match="rotation"):
         eot_eigenmaps(X, X, q=1)
-    assert subspace_outcomes == [True]
+    assert svd_paths == ["subspace"]
 
 
 def test_embed_from_model_matches_and_validates(pair):

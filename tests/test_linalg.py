@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,9 @@ from eotmaps import (
     DimensionError,
     InputError,
     NumericalError,
+    median_bandwidth,
     preset,
+    squared_distance_matrix,
     transport_plan,
     truncated_svd,
 )
@@ -139,20 +146,26 @@ def test_data_matrix_validation():
 
 @pytest.fixture(scope="module")
 def plans():
-    """Converged setting1 plans large enough for the subspace path at k = 5."""
+    """Converged setting1 plans large enough for the subspace path at k = 5, and
+    a 400 x 100 clustering plan at median/100 whose flat leading values (like
+    wide-sharp's) make subspace iteration hand off to the Gram path."""
     square = preset("setting1", 300, 300, 300, 0, 8.0)
     wide = preset("setting1", 300, 400, 300, 1, 8.0)
+    flat = preset("clustering", 400, 100, 50, 0, 1.0)
+    epsilon = median_bandwidth(squared_distance_matrix(flat.X.values, flat.Y.values)) / 100.0
     return {
         "square": transport_plan(square.X.values, square.Y.values).W,
         "wide": transport_plan(wide.X.values, wide.Y.values).W,
+        "flat": transport_plan(flat.X.values, flat.Y.values, epsilon=epsilon).W,
     }
 
 
 @pytest.mark.parametrize("name,transpose", [("square", False), ("wide", False), ("wide", True)])
-def test_svd_subspace_path_matches_dense(plans, subspace_outcomes, name, transpose):
+def test_svd_subspace_path_matches_dense(plans, svd_paths, name, transpose):
+    # setting1's spectrum decays fast enough at k = 5 that no plan hands off
     W = plans[name].T if transpose else plans[name]
     s, U, V = truncated_svd(W, 5)
-    assert subspace_outcomes == [True]
+    assert svd_paths == ["subspace"]
     s_full, U_full, V_full = truncated_svd(W, min(W.shape))
     np.testing.assert_allclose(s, s_full[:5], rtol=0, atol=1e-10)
     np.testing.assert_allclose(U, U_full[:, :5], rtol=0, atol=1e-10)
@@ -160,42 +173,134 @@ def test_svd_subspace_path_matches_dense(plans, subspace_outcomes, name, transpo
 
 
 @pytest.mark.parametrize(
-    "transpose,k,subspace",
-    [(False, 300, []), (True, 300, []), (False, 5, [True])],
-    ids=["dense-wide", "dense-tall", "subspace"],
+    "transpose,k,path",
+    [(False, 300, "dense"), (True, 300, "dense"), (False, 5, "subspace"), (True, 12, "gram")],
+    ids=["dense-wide", "dense-tall", "subspace", "gram"],
 )
-def test_svd_signs_give_positive_products(plans, subspace_outcomes, transpose, k, subspace):
+def test_svd_signs_give_positive_products(plans, svd_paths, transpose, k, path):
     # The sign rule never evaluates u^T A v, so the factorization itself
     # must hand over positive products, down to values near 1e-8 * s_1 that
     # the residual checks cannot tell apart from a flipped pair.
     W = plans["wide"].T if transpose else plans["wide"]
     s, U, V = truncated_svd(W, k)
-    assert subspace_outcomes == subspace
+    assert svd_paths == [path]
     products = np.einsum("ij,ij->j", U, W @ V)
     assert np.all(products[s > linalg.SINGULAR_FLOOR] > 0)
 
 
-def test_svd_subspace_path_deterministic(plans, subspace_outcomes):
+def test_svd_subspace_path_deterministic(plans, svd_paths):
     first = truncated_svd(plans["square"], 5)
     second = truncated_svd(plans["square"].copy(), 5)
-    assert subspace_outcomes == [True, True]
+    assert svd_paths == ["subspace", "subspace"]
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
 
 
-def test_svd_clustered_values_fall_back_to_dense(subspace_outcomes):
-    # Leading values within 1e-3 of each other: the block converges at a
-    # rate of about (s_10 / s_5)^2 per step, far beyond the step budget.
-    rng = np.random.default_rng(5)
-    Uo = np.linalg.qr(rng.normal(size=(300, 300)))[0]
-    Vo = np.linalg.qr(rng.normal(size=(300, 300)))[0]
-    A = (Uo * (1.0 + 1e-3 * np.linspace(1.0, 0.0, 300))) @ Vo.T
-    s, U, V = truncated_svd(A, 5)
-    assert subspace_outcomes == [False]
+def _rotated(values, seed=5):
+    """A square matrix with the given singular values and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    Uo = np.linalg.qr(rng.normal(size=(values.size, values.size)))[0]
+    Vo = np.linalg.qr(rng.normal(size=(values.size, values.size)))[0]
+    return (Uo * values) @ Vo.T
+
+
+# Leading values within 1e-3 of each other: the block converges at a rate of
+# about (s_10 / s_5)^2 per step, so subspace iteration hands off.
+CLUSTERED = _rotated(1.0 + 1e-3 * np.linspace(1.0, 0.0, 300))
+
+
+def test_svd_clustered_values_hand_off_to_gram(svd_paths):
+    s, U, V = truncated_svd(CLUSTERED, 5)
+    assert svd_paths == ["gram"]
+    s_full, U_full, V_full = truncated_svd(CLUSTERED, 300)
+    np.testing.assert_allclose(s, s_full[:5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(U, U_full[:, :5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(V, V_full[:, :5], rtol=0, atol=1e-10)
+
+
+def test_svd_subspace_hand_off_is_early():
+    # the hand-off rule needs three residuals, so it reads four A Q products
+    triplets, steps = linalg._subspace_svd(CLUSTERED, 5)
+    assert triplets is None and steps <= 5
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["tall", "wide"])
+def test_svd_gram_path_matches_dense(plans, svd_paths, transpose):
+    W = plans["flat"].T if transpose else plans["flat"]
+    s, U, V = truncated_svd(W, 5)
+    for a, b in zip((s, U, V), truncated_svd(W.copy(), 5)):
+        np.testing.assert_array_equal(a, b)
+    assert svd_paths == ["gram", "gram"]
+    s_full, U_full, V_full = truncated_svd(W, 100)
+    np.testing.assert_allclose(s, s_full[:5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(U, U_full[:, :5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(V, V_full[:, :5], rtol=0, atol=1e-10)
+
+
+def test_svd_gram_certificate_failure_goes_dense(svd_paths):
+    # s_17..s_20 sit in a cluster at 1e-9 < sqrt(eps): subspace iteration
+    # hands off, and the Gram product has rounded those values away.
+    values = np.concatenate([np.logspace(0, -9, 16), 1e-9 * (1.0 + 1e-3 * np.linspace(1.0, 0.0, 284))])
+    A = _rotated(values)
+    s, U, V = truncated_svd(A, 20)
+    assert svd_paths == ["dense"]
     s_full, U_full, V_full = truncated_svd(A, 300)
-    np.testing.assert_array_equal(s, s_full[:5])
-    np.testing.assert_array_equal(U, U_full[:, :5])
-    np.testing.assert_array_equal(V, V_full[:, :5])
+    np.testing.assert_array_equal(s, s_full[:20])
+    np.testing.assert_array_equal(U, U_full[:, :20])
+    np.testing.assert_array_equal(V, V_full[:, :20])
+
+
+def test_svd_overflowing_norms_go_dense(svd_paths):
+    # entries near 1e200 overflow the residual norms and W W^T; the dense
+    # SVD scales them and still serves the call
+    A = 1e200 * np.random.default_rng(3).normal(size=(60, 80))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, U, V = truncated_svd(A, 3)
+    assert svd_paths == ["dense"]
+    s_full, U_full, V_full = truncated_svd(A, 60)
+    np.testing.assert_array_equal(s, s_full[:3])
+    np.testing.assert_array_equal(U, U_full[:, :3])
+
+
+def test_svd_gram_memory_error_names_the_size(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.linalg, "eigh", exhausted)
+    with pytest.raises(InputError, match=r"300 x 300 matrix does not fit in memory.*MiB"):
+        truncated_svd(CLUSTERED, 5)
+
+
+_CHILD = """
+import sys
+import numpy as np
+import eotmaps.linalg as linalg
+
+W = np.load(sys.argv[1])
+if linalg._subspace_svd(W, 5)[0] is not None:
+    path = "subspace"
+else:
+    path = "dense" if linalg._gram_svd(W, 5) is None else "gram"
+np.savez(sys.argv[2], *linalg.truncated_svd(W, 5), path=path)
+"""
+
+
+def test_svd_gram_path_agrees_across_thread_counts(plans, tmp_path):
+    # CI runs the suite at 1 and 2 BLAS threads in separate steps, so only a
+    # child process per thread count can compare the two on one input.
+    np.save(tmp_path / "plan.npy", plans["flat"])
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path / "plan.npy"), str(out)],
+                       env=env, check=True, timeout=300)
+        results.append(np.load(out))
+    one, two = results
+    assert str(one["path"]) == str(two["path"]) == "gram"
+    for key in ("arr_0", "arr_1", "arr_2"):
+        np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-12)
 
 
 def test_svd_subspace_certificate_failure_raises(plans, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ def test_operator_layout(plan, ops):
     np.testing.assert_array_equal(np.eye(N) - ops.L, What)
     np.testing.assert_array_equal(np.eye(N) - ops.P, Ltilde)
     np.testing.assert_array_equal(-ops.L[:m, m:], plan.W)
+
+
+def test_build_operators_large_plan_layout_and_peak():
+    # 800 x 1200: L and P hold 2 N^2 doubles, and the build may allocate
+    # little beyond them (the old construction peaked at about 4 N^2).
+    X = RNG.normal(size=(800, 3))
+    Y = RNG.normal(size=(1200, 3))
+    plan = transport_plan(X, Y, tol=1e-12)
+    N = 2000
+    tracemalloc.start()
+    try:
+        ops = build_operators(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * N * N * 8
+    What, _, Ltilde = dense_operators(plan.W)
+    np.testing.assert_array_equal(ops.L, np.eye(N) - What)
+    del What
+    np.testing.assert_array_equal(ops.P, np.eye(N) - Ltilde)
 
 
 def test_p_is_row_stochastic_and_nonnegative(ops):
