@@ -14,9 +14,10 @@ File conventions
 * evaluate writes JSON ``{"metric": ..., "value": ..., "params": {...}}``.
 
 Exit codes: 0 success; 2 invalid input (bad flags, malformed files or
-config, shape mismatches, a transport plan or its dense SVD too large for
-memory); 3 numerical failure (non-convergence, degenerate results, a failed
-SVD residual certificate).
+config, shape mismatches, a transport plan, or the SVD or Gram
+eigendecomposition of one, too large for memory); 3 numerical failure
+(non-convergence, an unconverged plan, degenerate results, a failed SVD
+residual certificate).
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 cap the BLAS thread pools before numpy loads; only the exception classes of
@@ -196,25 +197,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _plan_and_model(args):
-    """Read X and Y, solve their plan, and return it with all its triplets."""
-    from . import embedding, transport
+def _plan(args):
+    """Read X and Y and solve their plan."""
+    from . import transport
 
     X = _read_matrix(args.in_x)
     Y = _read_matrix(args.in_y)
-    plan = transport.transport_plan(
+    return transport.transport_plan(
         X, Y, epsilon=_parse_epsilon(args.epsilon), tol=args.tol, max_iter=args.max_iter
     )
-    return plan, embedding.spectral_model(plan, k=min(plan.shape))
 
 
 def cmd_embed(args) -> int:
-    from . import embedding
+    from . import embedding, linalg
 
-    plan, model = _plan_and_model(args)
-    emb = embedding.embed_from_model(model, q=_parse_q(args.q), t=args.t)
+    q = _parse_q(args.q)
+    plan = _plan(args)
+    k = embedding.triplet_count(q, min(plan.shape))
+    spectrum = linalg.singular_values(plan.W)
+    emb = embedding.embed_from_model(embedding.spectral_model(plan, k=k), q=q, t=args.t)
     _write_embedding(args.out_embedding, emb.Xt, emb.Yt)
-    _write_spectrum(args.out_spectrum, model.s)
+    _write_spectrum(args.out_spectrum, spectrum)
     print(
         f"embedded with q={emb.q}, t={emb.t}, epsilon={plan.epsilon:.17g}, "
         f"{plan.iterations} sweeps",
@@ -302,8 +305,7 @@ def cmd_distances(args) -> int:
     from . import diffusion
 
     pairs = _read_pairs(args.pairs)
-    _, model = _plan_and_model(args)
-    ctx = diffusion.DiffusionContext(model=model, t=args.t)
+    ctx = diffusion.DiffusionContext(plan=_plan(args), t=args.t)
     kinds, i, j = (np.array(column) for column in zip(*pairs))
     values = np.empty(len(pairs))
     for kind in ("XX", "YY", "XY"):

@@ -12,51 +12,82 @@ distances between any two vertices reduce to O(min(m, n)) sums:
 These equal the Euclidean distances between embedding rows at diffusion
 time t with q = min(m, n) - 1, and truncating the sums after q + 1 terms
 leaves a residual controlled by the first omitted singular value.
+
+The distances need only these coordinates.  For t >= 2, s^t u and
+s^(t-1) W^T u = s^t v come from one eigendecomposition of W W^T, W the
+wide r x N orientation of the plan, whose absolute eigenvalue error of
+about eps * s_1^2 then reaches the distances at rounding level only.  At
+t = 1 the short side needs s = sqrt(s^2) itself, off by up to about
+sqrt(eps) on the small values (Golub & Van Loan, *Matrix Computations*, on
+the SVD via A^T A), so t = 1 takes the coordinates from the plan's SVD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import SpectralModel, _full_model
+from .embedding import _certify_trivial_pair, spectral_model
 from .errors import DimensionError, InputError
-from .linalg import check_int, check_real
+from .linalg import check_int, check_real, gram_eigenpairs
+from .transport import TransportPlan
 
 _BLOCKS = ("XX", "XY", "YX", "YY")
 _KINDS = ("XX", "YY", "XY")
-_PAIR_BLOCK = 256  # pairs whose factor rows are gathered at once
+_PAIR_BLOCK = 256  # pairs whose coordinate rows are gathered at once
 
 
 @dataclass(frozen=True)
 class DiffusionContext:
-    """A full-rank spectral model plus a diffusion time.
+    """A converged plan, a diffusion time t >= 1, and the plan's diffusion coordinates.
 
-    The model must hold all min(m, n) triplets of the plan between the m
-    points of X and the n points of Y, so block powers and distances are
-    exact; a truncated model raises DimensionError.  Both work in the
-    caller's order, as the model does.
+    ``Xt`` (m x (r - 1)) and ``Yt`` (n x (r - 1)), r = min(m, n), hold
+    sqrt(m) s_k^t u_k and sqrt(n) s_k^t v_k for k = 2..r in the caller's
+    order, up to the sign of each column: from the small-side Gram
+    eigenpairs for t >= 2, from the plan's SVD at t = 1 (see the module
+    docstring).  Both routes certify the trivial pair first, so an
+    unconverged plan raises PlanNotConvergedError.
     """
 
-    model: SpectralModel
+    plan: TransportPlan
     t: int
+    Xt: np.ndarray = field(init=False, repr=False, compare=False)
+    Yt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _full_model(self.model)
+        if not isinstance(self.plan, TransportPlan):
+            raise InputError("plan must be a TransportPlan")
         check_int(self.t, "t", 1)
+        m, n = self.plan.shape
+        if self.t == 1:
+            model = spectral_model(self.plan, min(m, n))
+            s, Xt, Yt, powers = model.s, model.U, model.V, (1, 1)
+        else:
+            W = self.plan.W if m <= n else self.plan.W.T  # the wide array the plan solved on
+            lam, U = gram_eigenpairs(W)
+            s = np.sqrt(np.maximum(lam, 0.0))  # rounding can push small s^2 below 0
+            WtU = W.T @ U
+            _certify_trivial_pair(s[0], U[:, 0], WtU[:, 0] / s[0])
+            # the long side holds W^T u_k = s_k v_k: one power of s less
+            Xt, Yt = (U, WtU) if m <= n else (WtU, U)
+            powers = (self.t, self.t - 1) if m <= n else (self.t - 1, self.t)
+        for name, block, size, power in zip(("Xt", "Yt"), (Xt, Yt), (m, n), powers):
+            coords = block[:, 1:]  # scaled in place: these blocks are this context's own
+            coords *= np.sqrt(size) * s[1:] ** power
+            object.__setattr__(self, name, coords)
 
     @property
     def m(self) -> int:
-        return self.model.U.shape[0]
+        return self.plan.shape[0]
 
     @property
     def n(self) -> int:
-        return self.model.V.shape[0]
+        return self.plan.shape[1]
 
 
 def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
-    """Spectral form of one block of the t-step walk.
+    """Spectral form of one block of the t-step walk, from the plan's full SVD.
 
     XX: U S^t U^T            XY: sqrt(m/n) U S^t V^T
     YX: sqrt(n/m) V S^t U^T  YY: V S^t V^T
@@ -68,9 +99,10 @@ def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
     """
     if block not in _BLOCKS:
         raise InputError(f"block must be one of {_BLOCKS}, got {block!r}")
-    sides = {"X": (ctx.model.U, ctx.m), "Y": (ctx.model.V, ctx.n)}
+    model = spectral_model(ctx.plan, min(ctx.m, ctx.n))
+    sides = {"X": (model.U, ctx.m), "Y": (model.V, ctx.n)}
     (A, a), (B, b) = sides[block[0]], sides[block[1]]
-    return np.sqrt(a / b) * (A * (ctx.model.s**ctx.t)[None, :]) @ B.T
+    return np.sqrt(a / b) * (A * (model.s**ctx.t)[None, :]) @ B.T
 
 
 def diffusion_distance(ctx: DiffusionContext, kind: str, i, j):
@@ -80,14 +112,14 @@ def diffusion_distance(ctx: DiffusionContext, kind: str, i, j):
     Y, "XY" for row i of X against row j of Y (symmetric in the underlying
     walk, so there is no "YX").  Integer i and j give a float; equal-length
     1-D integer arrays give the array of distances of the pairs (i[k], j[k]),
-    bitwise equal to one call per pair.  Every index is checked first.
+    bitwise equal to one call per pair.  Every index is checked first.  The
+    distance is the Euclidean one between rows of ``ctx.Xt`` / ``ctx.Yt``.
     """
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
-    sides = {"X": (ctx.model.U, ctx.m), "Y": (ctx.model.V, ctx.n)}
-    (A, a_size), (B, b_size) = sides[kind[0]], sides[kind[1]]
+    A, B = (ctx.Xt if side == "X" else ctx.Yt for side in kind)
     i, j = np.asarray(i), np.asarray(j)
-    for name, idx, size in (("i", i, a_size), ("j", j, b_size)):
+    for name, idx, size in (("i", i, len(A)), ("j", j, len(B))):
         if idx.ndim > 1 or not np.issubdtype(idx.dtype, np.integer):
             raise InputError(f"{name} must be an integer or a 1-D integer array, "
                              f"got {idx.dtype} of ndim {idx.ndim}")
@@ -97,13 +129,11 @@ def diffusion_distance(ctx: DiffusionContext, kind: str, i, j):
     if i.shape != j.shape:
         raise InputError(f"i and j must have the same shape, got {i.shape} and {j.shape}")
 
-    s2t = ctx.model.s[1:] ** (2 * ctx.t)
     out = np.empty(i.size)
     for start in range(0, i.size, _PAIR_BLOCK):
         rows = slice(start, start + _PAIR_BLOCK)
-        a = np.sqrt(a_size) * A[i.reshape(-1)[rows], 1:]
-        b = np.sqrt(b_size) * B[j.reshape(-1)[rows], 1:]
-        out[rows] = np.sqrt((s2t * (a - b) ** 2).sum(axis=1))
+        diff = A[i.reshape(-1)[rows]] - B[j.reshape(-1)[rows]]
+        out[rows] = np.sqrt((diff**2).sum(axis=1))
     return float(out[0]) if i.ndim == 0 else out
 
 

@@ -46,23 +46,6 @@ class SpectralModel:
     V: np.ndarray  # (|Y|, k)
 
 
-def _full_model(model) -> tuple[int, int]:
-    """Return (m, n) of a model that holds all min(m, n) triplets of its plan.
-
-    Raises InputError for a non-model and DimensionError for a truncated one;
-    the closed-form spectrum and diffusion formulas need every triplet.
-    """
-    if not isinstance(model, SpectralModel):
-        raise InputError("model must be a SpectralModel")
-    m, n = model.U.shape[0], model.V.shape[0]
-    if model.s.size != min(m, n):
-        raise DimensionError(
-            f"model must hold all {min(m, n)} triplets of an ({m}, {n}) plan "
-            f"(got {model.s.size})"
-        )
-    return m, n
-
-
 @dataclass(frozen=True)
 class JointEmbedding:
     """Aligned coordinates for both clouds.
@@ -97,18 +80,35 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
         s, V, U = truncated_svd(plan.W.T, k)
     else:
         s, U, V = truncated_svd(plan.W, k)
-    if abs(s[0] - 1.0) > _LEADING_VALUE_TOL:
+    _certify_trivial_pair(s[0], U[:, 0], V[:, 0])
+    return SpectralModel(s=s, U=U, V=V)
+
+
+def _certify_trivial_pair(s1: float, u1: np.ndarray, v1: np.ndarray):
+    """Raise PlanNotConvergedError unless s1 = 1 and u1, v1 are the constant unit vectors.
+
+    Each within 1e-6, and up to a joint sign, which an eigensolver does not fix.
+    """
+    if abs(s1 - 1.0) > _LEADING_VALUE_TOL:
         raise PlanNotConvergedError(
-            f"leading singular value {s[0]:.12g} is not 1 within {_LEADING_VALUE_TOL:g}; "
+            f"leading singular value {s1:.12g} is not 1 within {_LEADING_VALUE_TOL:g}; "
             "the plan's marginals are off"
         )
-    du = np.abs(U[:, 0] - 1.0 / np.sqrt(m)).max()
-    dv = np.abs(V[:, 0] - 1.0 / np.sqrt(n)).max()
+    sign = 1.0 if u1.sum() >= 0.0 else -1.0
+    du = np.abs(sign * u1 - 1.0 / np.sqrt(u1.size)).max()
+    dv = np.abs(sign * v1 - 1.0 / np.sqrt(v1.size)).max()
     if max(du, dv) > _TRIVIAL_VECTOR_TOL:
         raise PlanNotConvergedError(
             f"leading singular vectors deviate from the constant pair by {max(du, dv):.3e}"
         )
-    return SpectralModel(s=s, U=U, V=V)
+
+
+def triplet_count(q, rank: int) -> int:
+    """Triplets :func:`embed_from_model` needs for ``q`` at rank min(m, n), capped at the rank.
+
+    A fixed q needs q + 2, one past its last coordinate for the tie check; "auto" reads 12.
+    """
+    return min(rank, (_AUTO_WINDOW if isinstance(q, str) else check_int(q, "q", 1, rank - 1)) + 2)
 
 
 def select_dimension(s) -> int:
@@ -145,7 +145,7 @@ def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbeddi
     :func:`select_dimension` from the model's leading min(m, n, 12) values;
     a model holding fewer raises DimensionError.  Use this instead of
     :func:`eot_eigenmaps` when the plan is already solved, or when the model
-    is also needed for other purposes (spectra, diffusion distances) and
+    is also needed for other purposes (spectra, several embeddings) and
     should only be computed once.
     """
     if not isinstance(model, SpectralModel):
@@ -205,11 +205,7 @@ def eot_eigenmaps(
     """
     check_int(t, "t", 0)
     plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
-    rank = min(plan.shape)
-    # A fixed q needs one triplet past its last coordinate for the tie check;
-    # "auto" reads the leading 12 values.
-    k = min(rank, (_AUTO_WINDOW if isinstance(q, str) else check_int(q, "q", 1, rank - 1)) + 2)
-    return embed_from_model(spectral_model(plan, k=k), q=q, t=t)
+    return embed_from_model(spectral_model(plan, k=triplet_count(q, min(plan.shape))), q=q, t=t)
 
 
 def embedding_cost(emb: JointEmbedding, plan: TransportPlan) -> float:

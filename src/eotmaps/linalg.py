@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,17 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+@contextmanager
+def fits_in_memory(shape: tuple[int, int], subject: str = "the dense SVD of a {} matrix"):
+    """Turn a MemoryError inside the block into an InputError naming the m x n size."""
+    try:
+        yield
+    except MemoryError as exc:
+        size = "{} x {}".format(*shape)
+        raise InputError(f"{subject.format(size)} does not fit in memory (one {size} "
+                         f"float64 array takes {shape[0] * shape[1] * 8 / 2**20:.1f} MiB)") from exc
+
+
 def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
     """Apply the deterministic sign convention in place.
 
@@ -194,6 +206,19 @@ def _subspace_svd(A: np.ndarray, k: int):
     return (s, U, V), steps
 
 
+def gram_eigenpairs(W: np.ndarray):
+    """(s^2, U) of a wide W from eigh(W W^T): descending, U up to sign, both off by ~eps * s_1^2.
+
+    Raises NumericalError when W W^T overflows or eigh does not converge.
+    """
+    with fits_in_memory(W.shape, "the Gram eigendecomposition of a {} matrix"):
+        try:
+            lam, Z = np.linalg.eigh(W @ W.T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigh of the Gram matrix failed: {exc}") from exc
+    return lam[::-1], Z[:, ::-1]
+
+
 def _gram_svd(A: np.ndarray, k: int):
     """Leading k triplets from eigh(W W^T), W the wide orientation of A, or None.
 
@@ -202,16 +227,22 @@ def _gram_svd(A: np.ndarray, k: int):
     """
     W = A if A.shape[0] <= A.shape[1] else A.T
     try:
-        lam, Z = np.linalg.eigh(W @ W.T)
-    except np.linalg.LinAlgError:  # W W^T overflowed, or eigh did not converge
+        lam, Z = gram_eigenpairs(W)
+    except NumericalError:
         return None
-    lam, Z = lam[::-1][:k], Z[:, ::-1][:, :k]
+    lam, Z = lam[:k], Z[:, :k]
     if not lam[-1] > 0.0:
         return None
     s = np.sqrt(lam)
     X = (Z.T @ W).T / s
     U, V = (Z, X) if W is A else (X, Z)
     return (s, U, V) if _residual(A, s, U, V) <= _CERTIFICATE_TOL * s[0] else None
+
+
+def singular_values(A: np.ndarray) -> np.ndarray:
+    """All singular values of A's wide orientation, descending, from one values-only SVD."""
+    with fits_in_memory(A.shape):
+        return np.linalg.svd(A if A.shape[0] <= A.shape[1] else A.T, compute_uv=False)
 
 
 def _dense_svd(A: np.ndarray, k: int):
@@ -262,15 +293,10 @@ def truncated_svd(A, k: int):
     k = check_int(k, "k", 1, min(m, n))
 
     triplets = None
-    try:
+    with fits_in_memory(A.shape):
         if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
             triplets = _subspace_svd(A, k)[0] or _gram_svd(A, k)
         triplets = triplets or _dense_svd(A, k)
-    except MemoryError as exc:
-        raise InputError(
-            f"the dense SVD of a {m} x {n} matrix does not fit in memory "
-            f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
-        ) from exc
     s, U, V = (np.ascontiguousarray(x) for x in triplets)
     _fix_singular_signs(s, U, V)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import SpectralModel, _full_model
+from .embedding import SpectralModel
 from .errors import DimensionError, InputError, InvariantError, NumericalError
 from .transport import TransportPlan
 
@@ -108,9 +108,12 @@ def predicted_spectrum(model: SpectralModel):
     against L) are comparable across implementations; the completion used
     here is the deterministic QR completion of the taller factor's span.
     """
-    m, n = _full_model(model)
+    if not isinstance(model, SpectralModel):
+        raise InputError("model must be a SpectralModel")
     s, U, V = model.s, model.U, model.V
-    r = s.size
+    m, n, r = U.shape[0], V.shape[0], s.size
+    if r != min(m, n):
+        raise DimensionError(f"model must hold all {min(m, n)} triplets of its plan, got {r}")
 
     values = np.concatenate([1.0 - s, np.ones(abs(n - m)), (1.0 + s)[::-1]])
 

@@ -25,7 +25,7 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .linalg import DataMatrix, as_matrix, check_int, check_real
+from .linalg import DataMatrix, as_matrix, check_int, check_real, fits_in_memory
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -243,18 +243,12 @@ def transport_plan(
     # over a tall 8000 x 500 log-kernel and 33-36 ms over its wide transpose.
     tall = X.shape[0] > Y.shape[0]
     A, B = (Y, X) if tall else (X, Y)
-    try:
+    with fits_in_memory((X.shape[0], Y.shape[0]), "a {} transport plan"):
         D2 = squared_distance_matrix(A, B)
         if isinstance(epsilon, str):
             eps = median_bandwidth(D2)
         logK = np.divide(D2, -eps, out=D2)  # in place; the same bits as -D2 / eps
         plan = sinkhorn(logK, tol=tol, max_iter=max_iter, epsilon=eps)
-    except MemoryError as exc:
-        m, n = X.shape[0], Y.shape[0]
-        raise InputError(
-            f"a {m} x {n} transport plan does not fit in memory "
-            f"(one {m} x {n} float64 array takes {m * n * 8 / 2**20:.1f} MiB)"
-        ) from exc
     return replace(plan, W=plan.W.T, alpha=plan.beta, beta=plan.alpha) if tall else plan
 
 

@@ -244,7 +244,7 @@ def test_c06_diffusion_identities():
     ops = build_operators(plan)
 
     for t in (1, 2, 3):
-        ctx = DiffusionContext(model=model, t=t)
+        ctx = DiffusionContext(plan=plan, t=t)
         emb = embed_from_model(model, q=m - 1, t=t)
         Pt = np.linalg.matrix_power(ops.P, t)
         weights = np.concatenate([np.full(m, float(m)), np.full(n, float(n))])

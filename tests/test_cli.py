@@ -168,8 +168,28 @@ def test_embed_matches_library(workdir):
     Y = np.loadtxt(workdir / "Y.csv", delimiter=",")
     emb = eot_eigenmaps(X, Y, q=2, t=0)
     table = np.loadtxt(workdir / "emb.csv", delimiter=",", skiprows=1)
-    np.testing.assert_allclose(table[:8, 2:], emb.Xt, atol=1e-12)
-    np.testing.assert_allclose(table[8:, 2:], emb.Yt, atol=1e-12)
+    np.testing.assert_array_equal(table[:8, 2:], emb.Xt)
+    np.testing.assert_array_equal(table[8:, 2:], emb.Yt)
+
+
+def test_embed_auto_matches_library(tmp_path, mid):
+    # the CLI asks for the library's triplet count (12 for "auto" on this
+    # rank-150 plan), so it picks q from the same values and writes the
+    # library's coordinates bit for bit
+    from eotmaps import eot_eigenmaps
+
+    r = run_cli(
+        "embed", "--in-x", mid / "X.csv", "--in-y", mid / "Y.csv", "--t", 1,
+        "--out-embedding", tmp_path / "emb.csv", "--out-spectrum", tmp_path / "spec.csv",
+    )
+    assert r.returncode == 0, r.stderr
+    X = np.loadtxt(mid / "X.csv", delimiter=",")
+    Y = np.loadtxt(mid / "Y.csv", delimiter=",")
+    emb = eot_eigenmaps(X, Y, q="auto", t=1)
+    assert f"q={emb.q}," in r.stderr
+    table = np.loadtxt(tmp_path / "emb.csv", delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(table[:150, 2:], emb.Xt)
+    np.testing.assert_array_equal(table[150:, 2:], emb.Yt)
 
 
 def test_embed_reproducible(tmp_path, workdir):
@@ -299,6 +319,50 @@ def test_dense_svd_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys,
     assert "Traceback" not in err
 
 
+def test_gram_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys):
+    from eotmaps import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    # distances at t >= 2 take the plan's coordinates from eigh(W W^T)
+    monkeypatch.setattr(np.linalg, "eigh", exhausted)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\n")
+    code = cli.main([
+        "distances", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
+        "--t", "2", "--pairs", str(pairs), "--out", str(tmp_path / "d.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Gram eigendecomposition of a 8 x 10 matrix does not fit in memory" in err
+    assert "MiB" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_distances_unconverged_plan_exits_3(tmp_path, workdir, monkeypatch, capsys):
+    import eotmaps.transport as transport
+    from eotmaps import TransportPlan, cli
+
+    def unconverged(X, Y, **kwargs):
+        W = np.random.default_rng(3).uniform(0.5, 1.5, size=(len(X), len(Y)))
+        return TransportPlan(W=W, alpha=np.ones(len(X)), beta=np.ones(len(Y)), epsilon=1.0,
+                             iterations=1, marginal_residual=1.0)
+
+    monkeypatch.setattr(transport, "transport_plan", unconverged)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\n")
+    code = cli.main([
+        "distances", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
+        "--t", "2", "--pairs", str(pairs), "--out", str(tmp_path / "d.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err and "leading singular value" in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("metric", ["rand", "db", "silhouette", "purity"])
 def test_evaluate_label_metrics(workdir, metric):
     args = [
@@ -369,7 +433,7 @@ def test_evaluate_input_errors(workdir, tmp_path):
 
 
 def test_distances_roundtrip_and_values(workdir, tmp_path):
-    from eotmaps import DiffusionContext, diffusion_distance, spectral_model, transport_plan
+    from eotmaps import DiffusionContext, diffusion_distance, transport_plan
 
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("kind,i,j\nXX,0,0\nXX,0,5\nYY,2,7\nXY,3,9\n")
@@ -389,7 +453,7 @@ def test_distances_roundtrip_and_values(workdir, tmp_path):
     X = np.loadtxt(workdir / "X.csv", delimiter=",")
     Y = np.loadtxt(workdir / "Y.csv", delimiter=",")
     plan = transport_plan(X, Y)
-    ctx = DiffusionContext(spectral_model(plan, k=plan.shape[0]), 2)
+    ctx = DiffusionContext(plan, 2)
     assert values[1] == pytest.approx(diffusion_distance(ctx, "XX", 0, 5), rel=1e-12)
     assert values[2] == pytest.approx(diffusion_distance(ctx, "YY", 2, 7), rel=1e-12)
     assert values[3] == pytest.approx(diffusion_distance(ctx, "XY", 3, 9), rel=1e-12)
@@ -417,6 +481,48 @@ def test_distances_swapped_inputs_are_consistent(workdir, tmp_path):
     rev = [line.split(",")[3] for line in rev_out.read_text().strip().splitlines()[1:]]
     for a, b in zip(fwd, rev):
         assert float(a) == pytest.approx(float(b), rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def mid(tmp_path_factory):
+    """A 150 x 200 setting2 pair and 3,000 pairs of every kind, for the distances child."""
+    d = tmp_path_factory.mktemp("mid")
+    write_config(d / "config.json", name="setting2", m=150, n=200, p=20, seed=5, param=3.0)
+    r = run_cli(
+        "simulate", "--config", d / "config.json",
+        "--out-x", d / "X.csv", "--out-y", d / "Y.csv",
+        "--out-latent", d / "latent.csv", "--out-labels", d / "labels.txt",
+    )
+    assert r.returncode == 0, r.stderr
+    rng = np.random.default_rng(8)
+    kinds = rng.choice(["XX", "YY", "XY"], size=3000)
+    sizes = {"X": 150, "Y": 200}
+    rows = [f"{k},{rng.integers(sizes[k[0]])},{rng.integers(sizes[k[1]])}" for k in kinds]
+    (d / "pairs.csv").write_text("kind,i,j\n" + "\n".join(rows) + "\n")
+    return d
+
+
+def run_distances(d, out, t, threads):
+    r = run_cli(
+        "--threads", threads, "distances", "--in-x", d / "X.csv", "--in-y", d / "Y.csv",
+        "--t", t, "--pairs", d / "pairs.csv", "--out", out,
+    )
+    assert r.returncode == 0, r.stderr
+    return np.loadtxt(out, delimiter=",", skiprows=1, usecols=3)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_distances_reproducible(tmp_path, mid, t):
+    run_distances(mid, tmp_path / "a.csv", t, 1)
+    run_distances(mid, tmp_path / "b.csv", t, 1)
+    assert sha256(tmp_path / "a.csv") == sha256(tmp_path / "b.csv")
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_distances_agree_across_thread_counts(tmp_path, mid, t):
+    one = run_distances(mid, tmp_path / "one.csv", t, 1)
+    two = run_distances(mid, tmp_path / "two.csv", t, 2)
+    assert np.abs(one - two).max() <= 1e-12
 
 
 def test_distances_input_errors(workdir, tmp_path):

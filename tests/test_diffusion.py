@@ -5,10 +5,13 @@ from eotmaps import (
     DiffusionContext,
     DimensionError,
     InputError,
+    PlanNotConvergedError,
+    TransportPlan,
     block_power,
     build_operators,
     diffusion_distance,
     embed_from_model,
+    preset,
     spectral_model,
     transport_plan,
     truncation_bound,
@@ -34,8 +37,8 @@ def test_block_powers_match_dense_walk(setup, t):
     # the cross blocks vanish and XX/YY are the true transition blocks, at
     # odd t the roles swap.  The spectral forms for the other parity are
     # interpolations and have no dense counterpart.
-    _, _, plan, model, ops = setup
-    ctx = DiffusionContext(model, t)
+    _, _, plan, _, ops = setup
+    ctx = DiffusionContext(plan, t)
     Pt = np.linalg.matrix_power(ops.P, t)
     if t % 2 == 0:
         np.testing.assert_allclose(block_power(ctx, "XX"), Pt[:M, :M], atol=1e-10)
@@ -50,17 +53,17 @@ def test_block_powers_match_dense_walk(setup, t):
 
 
 def test_one_step_cross_block_recovers_plan(setup):
-    _, _, plan, model, _ = setup
-    ctx = DiffusionContext(model, 1)
+    _, _, plan, _, _ = setup
+    ctx = DiffusionContext(plan, 1)
     np.testing.assert_allclose(
         block_power(ctx, "XY") * np.sqrt(N / M), plan.W, atol=1e-12
     )
 
 
 def test_block_rows_sum_to_one(setup):
-    *_, model, _ = setup
+    plan = setup[2]
     for t in (1, 2, 4):
-        ctx = DiffusionContext(model, t)
+        ctx = DiffusionContext(plan, t)
         for block in ("XX", "XY", "YX", "YY"):
             np.testing.assert_allclose(block_power(ctx, block).sum(axis=1), 1.0, atol=1e-9)
 
@@ -68,9 +71,9 @@ def test_block_rows_sum_to_one(setup):
 def test_block_parity_nonnegativity(setup):
     # the dense walk alternates between the bipartition sides, so same-side
     # blocks are nonnegative at even t and cross blocks at odd t
-    *_, model, _ = setup
+    plan = setup[2]
     for t, nonneg in ((1, ("XY", "YX")), (2, ("XX", "YY")), (3, ("XY", "YX"))):
-        ctx = DiffusionContext(model, t)
+        ctx = DiffusionContext(plan, t)
         for block in nonneg:
             assert block_power(ctx, block).min() >= -1e-12
 
@@ -81,8 +84,8 @@ def test_same_side_distance_equals_dense_row_difference(setup, t):
     # of the bipartition (whichever parity selects), so the distance is a
     # plain weighted row difference of the dense walk.  Cross pairs have no
     # such identity: their same-t rows have disjoint support.
-    _, _, plan, model, ops = setup
-    ctx = DiffusionContext(model, t)
+    _, _, plan, _, ops = setup
+    ctx = DiffusionContext(plan, t)
     Pt = np.linalg.matrix_power(ops.P, t)
     weights = np.concatenate([np.full(M, M), np.full(N, N)])  # inverse side mass
 
@@ -101,8 +104,8 @@ def test_distances_form_a_metric_on_the_union(setup):
     # the closed forms are Euclidean distances between embedded points, so
     # nonnegativity, symmetry, and the triangle inequality must hold across
     # arbitrary mixed-side triples
-    *_, model, _ = setup
-    ctx = DiffusionContext(model, 2)
+    plan = setup[2]
+    ctx = DiffusionContext(plan, 2)
     rng = np.random.default_rng(17)
 
     def dist(a, b):
@@ -124,9 +127,9 @@ def test_distances_form_a_metric_on_the_union(setup):
 
 
 def test_distance_equals_full_embedding_distance(setup):
-    *_, model, _ = setup
+    _, _, plan, model, _ = setup
     for t in (1, 2, 3):
-        ctx = DiffusionContext(model, t)
+        ctx = DiffusionContext(plan, t)
         emb = embed_from_model(model, q=M - 1, t=t)
         i, j = 3, 6
         assert diffusion_distance(ctx, "XX", i, j) == pytest.approx(
@@ -141,8 +144,8 @@ def test_distance_equals_full_embedding_distance(setup):
 
 
 def test_distance_symmetry_and_identity(setup):
-    *_, model, _ = setup
-    ctx = DiffusionContext(model, 2)
+    plan = setup[2]
+    ctx = DiffusionContext(plan, 2)
     assert diffusion_distance(ctx, "XX", 2, 2) == 0.0
     assert diffusion_distance(ctx, "XX", 1, 4) == diffusion_distance(ctx, "XX", 4, 1)
     assert diffusion_distance(ctx, "YY", 0, 3) == diffusion_distance(ctx, "YY", 3, 0)
@@ -154,7 +157,7 @@ def test_truncation_residual_within_bound(setup):
     for _ in range(50):
         t = int(rng.integers(1, 4))
         q = int(rng.integers(1, M - 1))
-        ctx = DiffusionContext(model, t)
+        ctx = DiffusionContext(plan, t)
         emb = embed_from_model(spectral_model(plan, k=min(M, q + 2)), q=q, t=t)
         kind = ("XX", "YY", "XY")[rng.integers(3)]
         if kind == "XX":
@@ -196,19 +199,62 @@ def test_truncation_bound_validation():
 def test_context_validation(setup):
     _, _, plan, model, _ = setup
     with pytest.raises(InputError):
-        DiffusionContext(model, 0)
+        DiffusionContext(plan, 0)
     with pytest.raises(InputError):
-        DiffusionContext(model, 1.5)
-    partial = spectral_model(plan, k=M - 1)
-    with pytest.raises(InputError):
-        DiffusionContext(partial, 1)
-    ctx = DiffusionContext(model, 1)
+        DiffusionContext(plan, 1.5)
+    with pytest.raises(InputError, match="TransportPlan"):
+        DiffusionContext(model, 1)
+    ctx = DiffusionContext(plan, 1)
     assert ctx.m == M and ctx.n == N
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("leading", ["off", "one"])
+def test_context_rejects_unconverged_plan(t, leading):
+    # a plan with the wrong marginals: its leading value is off 1 ("off"),
+    # or, rescaled to s_1 = 1 ("one"), its leading vectors are not constant;
+    # the SVD route (t = 1) and the Gram route (t >= 2) both certify the pair
+    W = np.random.default_rng(3).uniform(0.5, 1.5, size=(5, 8))
+    if leading == "one":
+        W = W / np.linalg.svd(W, compute_uv=False)[0]
+    bogus = TransportPlan(W=W, alpha=np.ones(5), beta=np.ones(8), epsilon=1.0,
+                          iterations=1, marginal_residual=1.0)
+    with pytest.raises(PlanNotConvergedError):
+        DiffusionContext(bogus, t)
+
+
+def full_model_distances(model, t, kind, i, j):
+    """The closed-form sums over every triplet, as the module docstring states them."""
+    m, n = model.U.shape[0], model.V.shape[0]
+    side = {"X": np.sqrt(m) * model.U[:, 1:], "Y": np.sqrt(n) * model.V[:, 1:]}
+    a, b = side[kind[0]][i], side[kind[1]][j]
+    return np.sqrt((model.s[1:] ** (2 * t) * (a - b) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("name,param", [("setting1", 8.0), ("setting2", 3.0), ("clustering", 1.0)])
+def test_distances_match_the_full_model_formula(name, param):
+    # the Gram-built coordinates (t >= 2) and the SVD-built ones (t = 1)
+    # against the sums over all triplets of the plan's full SVD, in both
+    # input orders
+    pair = preset(name, 300, 420, 20, 0, param)
+    rng = np.random.default_rng(11)
+    for X, Y in ((pair.X.values, pair.Y.values), (pair.Y.values, pair.X.values)):
+        plan = transport_plan(X, Y)
+        model = spectral_model(plan, min(plan.shape))
+        sizes = {"X": len(X), "Y": len(Y)}
+        for t in (1, 2, 3):
+            ctx = DiffusionContext(plan, t)
+            for kind in ("XX", "YY", "XY"):
+                i = rng.integers(sizes[kind[0]], size=2000)
+                j = rng.integers(sizes[kind[1]], size=2000)
+                want = full_model_distances(model, t, kind, i, j)
+                got = diffusion_distance(ctx, kind, i, j)
+                assert np.abs(got - want).max() <= 1e-12, (name, len(X), t, kind)
+
+
 def test_distance_and_block_validation(setup):
-    *_, model, _ = setup
-    ctx = DiffusionContext(model, 1)
+    plan = setup[2]
+    ctx = DiffusionContext(plan, 1)
     with pytest.raises(InputError):
         block_power(ctx, "xy")
     with pytest.raises(InputError):
@@ -233,13 +279,13 @@ def oriented(request):
         X, Y = Y, X
     plan = transport_plan(X, Y)
     assert plan.W.shape == (len(X), len(Y))
-    return X, Y, plan, DiffusionContext(spectral_model(plan, k=40), 2)
+    return X, Y, plan, DiffusionContext(plan, 2)
 
 
 def test_swapped_plan_distances_index_the_callers_clouds(oriented):
     X, Y, plan, ctx = oriented
     assert (ctx.m, ctx.n) == (len(X), len(Y))
-    emb = embed_from_model(ctx.model, q=39, t=2)
+    emb = embed_from_model(spectral_model(plan, k=40), q=39, t=2)
     for kind, rows_i, rows_j in (("XX", emb.Xt, emb.Xt), ("YY", emb.Yt, emb.Yt),
                                  ("XY", emb.Xt, emb.Yt)):
         i, j = len(rows_i) - 1, len(rows_j) - 2
@@ -250,7 +296,7 @@ def test_swapped_plan_distances_index_the_callers_clouds(oriented):
 
 def test_swapped_plan_distances_equal_the_reversed_call(oriented):
     X, Y, plan, ctx = oriented
-    reverse = DiffusionContext(spectral_model(transport_plan(Y, X), k=40), 2)
+    reverse = DiffusionContext(transport_plan(Y, X), 2)
     assert diffusion_distance(ctx, "XX", 3, len(X) - 1) == diffusion_distance(
         reverse, "YY", 3, len(X) - 1
     )

@@ -31,8 +31,7 @@ def pair():
 
 def embed(plan, q, t=0):
     """eot_eigenmaps's route on a solved plan: the same k, so the same bits."""
-    rank = min(plan.shape)
-    k = rank if q == "auto" else min(rank, q + 2)
+    k = embedding.triplet_count(q, min(plan.shape))
     return embed_from_model(spectral_model(plan, k=k), q=q, t=t)
 
 
@@ -103,6 +102,24 @@ def test_spectral_model_rejects_unconverged_plan():
     )
     with pytest.raises(PlanNotConvergedError):
         spectral_model(bogus, k=3)
+
+
+def test_trivial_pair_certificate_accepts_either_joint_sign():
+    u, v = np.full(5, 1 / np.sqrt(5)), np.full(8, 1 / np.sqrt(8))
+    embedding._certify_trivial_pair(1.0, u, v)
+    embedding._certify_trivial_pair(1.0, -u, -v)
+    for s1, a, b in ((1.0, u, -v), (1.0, -u, v), (1.0 + 2e-6, u, v)):
+        with pytest.raises(PlanNotConvergedError):
+            embedding._certify_trivial_pair(s1, a, b)
+
+
+def test_triplet_count():
+    assert embedding.triplet_count(3, 100) == 5
+    assert embedding.triplet_count(3, 4) == 4
+    assert embedding.triplet_count("auto", 100) == 12
+    assert embedding.triplet_count("auto", 8) == 8
+    with pytest.raises(DimensionError):
+        embedding.triplet_count(4, 4)
 
 
 def test_spectral_model_k_validation(pair):
