@@ -57,7 +57,6 @@ _EXPORTS = {
     "observe": "simulate",
     "preset": "simulate",
     # metrics
-    "NeighborSets": "metrics",
     "knn": "metrics",
     "jaccard_concordance": "metrics",
     "rand_index": "metrics",

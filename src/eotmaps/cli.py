@@ -151,11 +151,6 @@ def _load_config(path: str) -> dict:
         raise InputError(
             f"unsupported schema_version {cfg['schema_version']!r} (expected {SCHEMA_VERSION})"
         )
-    for field in ("m", "n", "p", "seed"):
-        if not isinstance(cfg[field], int) or isinstance(cfg[field], bool):
-            raise InputError(f"config field {field!r} must be an integer")
-    if not isinstance(cfg["name"], str):
-        raise InputError("config field 'name' must be a string")
     return cfg
 
 
@@ -190,8 +185,9 @@ def cmd_simulate(args) -> int:
     _write_labels(args.out_labels, pair.pooled_labels)
     kind = "class" if pair.latent_x.labels is not None else "dataset-indicator"
     print(
-        f"simulated {pair.name}: X {pair.X.rows}x{pair.X.cols}, "
-        f"Y {pair.Y.rows}x{pair.Y.cols}, labels={kind}",
+        "simulated {}: X {}x{}, Y {}x{}, labels={}".format(
+            pair.name, *pair.X.values.shape, *pair.Y.values.shape, kind
+        ),
         file=sys.stderr,
     )
     return 0
@@ -212,6 +208,7 @@ def cmd_embed(args) -> int:
     from . import embedding, linalg
 
     q = _parse_q(args.q)
+    linalg.check_int(args.t, "t", 0)
     plan = _plan(args)
     k = embedding.triplet_count(q, min(plan.shape))
     spectrum = linalg.singular_values(plan.W)
@@ -302,9 +299,10 @@ def _read_pairs(path: str):
 def cmd_distances(args) -> int:
     import numpy as np
 
-    from . import diffusion
+    from . import diffusion, linalg
 
     pairs = _read_pairs(args.pairs)
+    linalg.check_int(args.t, "t", 1)
     ctx = diffusion.DiffusionContext(plan=_plan(args), t=args.t)
     kinds, i, j = (np.array(column) for column in zip(*pairs))
     values = np.empty(len(pairs))

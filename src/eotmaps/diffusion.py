@@ -77,14 +77,6 @@ class DiffusionContext:
             coords *= np.sqrt(size) * s[1:] ** power
             object.__setattr__(self, name, coords)
 
-    @property
-    def m(self) -> int:
-        return self.plan.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.plan.shape[1]
-
 
 def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
     """Spectral form of one block of the t-step walk, from the plan's full SVD.
@@ -99,8 +91,9 @@ def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
     """
     if block not in _BLOCKS:
         raise InputError(f"block must be one of {_BLOCKS}, got {block!r}")
-    model = spectral_model(ctx.plan, min(ctx.m, ctx.n))
-    sides = {"X": (model.U, ctx.m), "Y": (model.V, ctx.n)}
+    m, n = ctx.plan.shape
+    model = spectral_model(ctx.plan, min(m, n))
+    sides = {"X": (model.U, m), "Y": (model.V, n)}
     (A, a), (B, b) = sides[block[0]], sides[block[1]]
     return np.sqrt(a / b) * (A * (model.s**ctx.t)[None, :]) @ B.T
 

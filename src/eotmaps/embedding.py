@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, PlanNotConvergedError
 from .linalg import SINGULAR_FLOOR, check_int, truncated_svd
-from .transport import TransportPlan, transport_plan
+from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, TransportPlan, transport_plan
 
 _AUTO_WINDOW = 10  # q="auto" picks q in [1, _AUTO_WINDOW], from s_1..s_{_AUTO_WINDOW+2}
 _LEADING_VALUE_TOL = 1e-6
@@ -183,8 +183,8 @@ def eot_eigenmaps(
     q="auto",
     t: int = 0,
     epsilon="median",
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> JointEmbedding:
     """Jointly embed two clouds via the spectrum of their entropic plan.
 

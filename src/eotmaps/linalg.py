@@ -109,14 +109,6 @@ class DataMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 @contextmanager
 def fits_in_memory(shape: tuple[int, int], subject: str = "the dense SVD of a {} matrix"):

@@ -13,8 +13,6 @@ found by selection, and only the entries at or below it are sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -24,14 +22,6 @@ from .transport import squared_distance_matrix
 
 DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
-
-
-@dataclass(frozen=True)
-class NeighborSets:
-    """k nearest neighbors per point: indices[i] are i's neighbors, nearest first."""
-
-    k: int
-    indices: np.ndarray  # (N, k) integer
 
 
 def _validated_labels(labels, count: int) -> np.ndarray:
@@ -62,14 +52,14 @@ def _neighbor_balls(P: np.ndarray, k: int):
         yield rows, D2, D2 <= kth[:, None]
 
 
-def knn(points, k: int) -> NeighborSets:
-    """Exact k nearest neighbors under Euclidean distance.
+def knn(points, k: int) -> np.ndarray:
+    """Exact k nearest neighbors under Euclidean distance, as an (N, k) index array.
 
-    Equal computed squared distances go to the smaller index (a stable
-    sort); coincident points with non-dyadic coordinates need not compute
-    equal (see the module docstring).  A point is never its own neighbor.
-    Takes O(N^2 d) time and O(256 N) memory: only each row's k-NN ball is
-    sorted.
+    Row i lists i's neighbors, nearest first.  Equal computed squared
+    distances go to the smaller index (a stable sort); coincident points
+    with non-dyadic coordinates need not compute equal (see the module
+    docstring).  A point is never its own neighbor.  Takes O(N^2 d) time
+    and O(256 N) memory: only each row's k-NN ball is sorted.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0] - 1)
@@ -80,7 +70,7 @@ def knn(points, k: int) -> NeighborSets:
         ranked = c[np.lexsort((D2.ravel()[flat], r))]  # each row nearest first, stable
         first = np.searchsorted(r, np.arange(rows.size))
         indices[rows] = ranked[first[:, None] + np.arange(k)]
-    return NeighborSets(k=k, indices=indices)
+    return indices
 
 
 def jaccard_concordance(embedded, latent, k: int = DEFAULT_NEIGHBORS) -> float:
@@ -96,8 +86,8 @@ def jaccard_concordance(embedded, latent, k: int = DEFAULT_NEIGHBORS) -> float:
         raise InputError(
             f"embedded and latent must list the same points, got {E.shape[0]} vs {L.shape[0]}"
         )
-    got = knn(E, k).indices
-    want = knn(L, k).indices
+    got = knn(E, k)
+    want = knn(L, k)
     # each row lists distinct indices, so a shared index shows up as a repeat
     both = np.sort(np.hstack([got, want]), axis=1)
     inter = (both[:, 1:] == both[:, :-1]).sum(axis=1)
@@ -265,7 +255,6 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10, max_iter: int = 20
 
 
 __all__ = [
-    "NeighborSets",
     "knn",
     "jaccard_concordance",
     "rand_index",

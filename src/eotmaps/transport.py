@@ -25,7 +25,7 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .linalg import DataMatrix, as_matrix, check_int, check_real, fits_in_memory
+from .linalg import as_matrix, check_int, check_real, fits_in_memory
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -42,7 +42,8 @@ def squared_distance_matrix(X, Y) -> np.ndarray:
     Y = as_matrix(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise InputError(
-            f"X and Y must share a feature dimension, got {X.shape[1]} and {Y.shape[1]}"
+            f"X and Y must share a feature dimension; one has {X.shape[1]} columns, "
+            f"the other {Y.shape[1]}"
         )
     sq_x = np.einsum("ij,ij->i", X, X)
     sq_y = np.einsum("ij,ij->i", Y, Y)
@@ -69,15 +70,13 @@ def median_bandwidth(D2) -> float:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A converged entropic plan together with its kernel scalings.
+    """A converged entropic plan.
 
     Attributes
     ----------
     W : (|X|, |Y|) strictly positive plan matrix, rows for the caller's X and
         columns for Y; a transposed, Fortran-ordered view when X is the
         larger cloud
-    alpha, beta : scaling vectors with W_ij = alpha_i * K_ij * beta_j and
-        ||alpha||_1 == ||beta||_1
     epsilon : bandwidth used to build the kernel, or None when the kernel
         was supplied directly
     iterations : number of full sweeps performed
@@ -86,8 +85,6 @@ class TransportPlan:
     """
 
     W: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     epsilon: float | None
     iterations: int
     marginal_residual: float
@@ -100,18 +97,16 @@ class TransportPlan:
             raise InputError("W contains non-finite entries")
         if (W <= 0).any():
             raise InputError("W must be strictly positive")
-        if self.alpha.shape != (W.shape[0],) or self.beta.shape != (W.shape[1],):
-            raise InputError("alpha/beta shapes do not match W")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.W.shape
 
 
-def _logsumexp_rows(M: np.ndarray) -> np.ndarray:
-    """log(sum(exp(M), axis=1)) for finite M, stabilized by the row max."""
-    mx = M.max(axis=1, keepdims=True)
-    return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True))).ravel()
+def _logsumexp(v: np.ndarray) -> float:
+    """log(sum(exp(v))) for a finite vector, stabilized by its max."""
+    mx = v.max()
+    return mx + np.log(np.exp(v - mx).sum())
 
 
 def _half_sweep(logK, dual, axis, log_target, buf) -> np.ndarray:
@@ -146,7 +141,7 @@ def sinkhorn(
 
     Returns
     -------
-    TransportPlan with scalings normalized so ||alpha||_1 == ||beta||_1.
+    TransportPlan whose W is built once, from the converged duals.
 
     Each half-sweep is one max-stabilized log-sum-exp of logK plus a dual,
     computed in place in a single m x n buffer (rows reduce along axis 1,
@@ -185,9 +180,11 @@ def sinkhorn(
             residual=float(residual_rel),
         )
 
-    # Balance the scalings (||alpha||_1 == ||beta||_1): shifting the duals by
-    # +/- the same constant leaves W unchanged.  Then build W from them.
-    shift = 0.5 * (_logsumexp_rows(g[None, :]) - _logsumexp_rows(f[None, :]))[0]
+    # Shift the duals by +/- the same constant so sum(exp(f)) == sum(exp(g)).
+    # W is unchanged in exact arithmetic but not in rounding: built from the
+    # unshifted duals, about half its entries move by an ulp, and the
+    # diffusion coordinates by up to ~1e-13, so the shift keeps W's bits.
+    shift = 0.5 * (_logsumexp(g) - _logsumexp(f))
     f = f + shift
     g = g - shift
     W = np.add(f[:, None], logK, out=buf)
@@ -204,8 +201,6 @@ def sinkhorn(
     )
     return TransportPlan(
         W=W,
-        alpha=np.exp(f),
-        beta=np.exp(g),
         epsilon=epsilon,
         iterations=sweep,
         marginal_residual=float(residual_abs),
@@ -228,11 +223,6 @@ def transport_plan(
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(
-            f"X and Y must share a feature dimension, got {X.shape[1]} and {Y.shape[1]}"
-        )
-
     if isinstance(epsilon, str):
         if epsilon != "median":
             raise InputError(f'epsilon must be a positive number or "median", got {epsilon!r}')
@@ -249,11 +239,10 @@ def transport_plan(
             eps = median_bandwidth(D2)
         logK = np.divide(D2, -eps, out=D2)  # in place; the same bits as -D2 / eps
         plan = sinkhorn(logK, tol=tol, max_iter=max_iter, epsilon=eps)
-    return replace(plan, W=plan.W.T, alpha=plan.beta, beta=plan.alpha) if tall else plan
+    return replace(plan, W=plan.W.T) if tall else plan
 
 
 __all__ = [
-    "DataMatrix",
     "TransportPlan",
     "squared_distance_matrix",
     "median_bandwidth",

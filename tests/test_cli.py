@@ -108,8 +108,13 @@ def test_cli_import_leaves_numpy_unloaded():
         (dict(extra=1), "unknown field"),
         (dict(schema_version=2), "schema_version"),
         (dict(name="nope"), "nope"),
-        (dict(m="eight"), "'m'"),
+        (dict(m="eight"), "m must be an integer"),
         (dict(param="big"), "param"),
+        (dict(seed="x"), "seed must be an integer"),
+        (dict(p=True), "p must be an integer"),
+        (dict(n=2.5), "n must be an integer"),
+        (dict(m=-1), "m must be >= 1"),
+        (dict(name=5), "unknown preset 5"),
     ],
 )
 def test_simulate_config_errors(tmp_path, mutation, needle):
@@ -341,14 +346,36 @@ def test_gram_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("command,t", [("embed", "-1"), ("distances", "0")])
+def test_diffusion_time_checked_before_the_plan(tmp_path, workdir, monkeypatch, capsys, command, t):
+    import eotmaps.transport as transport
+    from eotmaps import cli
+
+    def unreachable(X, Y, **kwargs):
+        raise AssertionError("the plan was solved before t was checked")
+
+    monkeypatch.setattr(transport, "transport_plan", unreachable)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\n")
+    outputs = {
+        "embed": ["--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv")],
+        "distances": ["--pairs", str(pairs), "--out", str(tmp_path / "d.csv")],
+    }
+    code = cli.main([
+        command, "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
+        "--t", t, *outputs[command],
+    ])
+    assert code == 2
+    assert "t must be" in capsys.readouterr().err
+
+
 def test_distances_unconverged_plan_exits_3(tmp_path, workdir, monkeypatch, capsys):
     import eotmaps.transport as transport
     from eotmaps import TransportPlan, cli
 
     def unconverged(X, Y, **kwargs):
         W = np.random.default_rng(3).uniform(0.5, 1.5, size=(len(X), len(Y)))
-        return TransportPlan(W=W, alpha=np.ones(len(X)), beta=np.ones(len(Y)), epsilon=1.0,
-                             iterations=1, marginal_residual=1.0)
+        return TransportPlan(W=W, epsilon=1.0, iterations=1, marginal_residual=1.0)
 
     monkeypatch.setattr(transport, "transport_plan", unconverged)
     pairs = tmp_path / "pairs.csv"

@@ -205,7 +205,7 @@ def test_context_validation(setup):
     with pytest.raises(InputError, match="TransportPlan"):
         DiffusionContext(model, 1)
     ctx = DiffusionContext(plan, 1)
-    assert ctx.m == M and ctx.n == N
+    assert ctx.Xt.shape[0] == M and ctx.Yt.shape[0] == N
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -217,8 +217,7 @@ def test_context_rejects_unconverged_plan(t, leading):
     W = np.random.default_rng(3).uniform(0.5, 1.5, size=(5, 8))
     if leading == "one":
         W = W / np.linalg.svd(W, compute_uv=False)[0]
-    bogus = TransportPlan(W=W, alpha=np.ones(5), beta=np.ones(8), epsilon=1.0,
-                          iterations=1, marginal_residual=1.0)
+    bogus = TransportPlan(W=W, epsilon=1.0, iterations=1, marginal_residual=1.0)
     with pytest.raises(PlanNotConvergedError):
         DiffusionContext(bogus, t)
 
@@ -284,7 +283,7 @@ def oriented(request):
 
 def test_swapped_plan_distances_index_the_callers_clouds(oriented):
     X, Y, plan, ctx = oriented
-    assert (ctx.m, ctx.n) == (len(X), len(Y))
+    assert (len(ctx.Xt), len(ctx.Yt)) == (len(X), len(Y))
     emb = embed_from_model(spectral_model(plan, k=40), q=39, t=2)
     for kind, rows_i, rows_j in (("XX", emb.Xt, emb.Xt), ("YY", emb.Yt, emb.Yt),
                                  ("XY", emb.Xt, emb.Yt)):

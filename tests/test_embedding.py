@@ -94,8 +94,6 @@ def test_spectral_model_rejects_unconverged_plan():
     W = rng.uniform(0.5, 1.5, size=(5, 8))
     bogus = TransportPlan(
         W=W,
-        alpha=np.ones(5),
-        beta=np.ones(8),
         epsilon=1.0,
         iterations=1,
         marginal_residual=1.0,

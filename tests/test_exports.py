@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import re
@@ -47,3 +48,21 @@ def test_readme_quick_start_runs(capsys):
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert "neighborhood concordance:" in capsys.readouterr().out
+
+
+def test_no_unused_imports():
+    # no linter runs in CI, so this catches imports that a deletion left
+    # behind; being listed in __all__ does not count as a use
+    unused = []
+    for path in sorted((ROOT / "src" / "eotmaps").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused

@@ -134,7 +134,7 @@ def test_svd_input_validation():
 
 def test_data_matrix_validation():
     dm = DataMatrix(np.arange(6.0).reshape(2, 3))
-    assert dm.rows == 2 and dm.cols == 3
+    assert dm.values.shape == (2, 3)
     assert not dm.values.flags.writeable
     with pytest.raises(InputError):
         DataMatrix(np.ones(3))

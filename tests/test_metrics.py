@@ -21,19 +21,18 @@ FOUR_LABELS = np.array([0, 0, 1, 1])
 
 def test_knn_tie_breaks_toward_smaller_index():
     pts = np.array([[0.0], [1.0], [2.0]])
-    nbrs = knn(pts, 1)
     # point 1 is equidistant from 0 and 2; the tie goes to index 0
-    np.testing.assert_array_equal(nbrs.indices, [[1], [0], [1]])
+    np.testing.assert_array_equal(knn(pts, 1), [[1], [0], [1]])
 
 
 def test_knn_orders_by_distance():
     pts = np.array([[0.0], [10.0], [1.0], [4.0]])
     nbrs = knn(pts, 3)
-    np.testing.assert_array_equal(nbrs.indices[0], [2, 3, 1])
-    np.testing.assert_array_equal(nbrs.indices[1], [3, 2, 0])
-    assert nbrs.k == 3
+    assert nbrs.shape == (4, 3) and nbrs.dtype == np.intp
+    np.testing.assert_array_equal(nbrs[0], [2, 3, 1])
+    np.testing.assert_array_equal(nbrs[1], [3, 2, 0])
     # a point is never its own neighbor
-    assert all(i not in nbrs.indices[i] for i in range(4))
+    assert all(i not in nbrs[i] for i in range(4))
 
 
 def test_knn_validation():
@@ -73,8 +72,8 @@ def test_knn_equals_full_stable_argsort(name):
     P = ORACLE_CLOUDS[name]
     for k in (1, 7, P.shape[0] - 1):
         nbrs = knn(P, k)
-        assert nbrs.indices.shape == (P.shape[0], k)
-        assert np.array_equal(nbrs.indices, _argsort_knn(P, k))
+        assert nbrs.shape == (P.shape[0], k)
+        assert np.array_equal(nbrs, _argsort_knn(P, k))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CLOUDS))

@@ -191,8 +191,6 @@ def test_build_operators_rejects_violated_marginals():
     W = rng.uniform(0.1, 0.9, size=(4, 6))
     bogus = TransportPlan(
         W=W,
-        alpha=np.ones(4),
-        beta=np.ones(6),
         epsilon=1.0,
         iterations=1,
         marginal_residual=1.0,

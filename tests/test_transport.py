@@ -206,16 +206,6 @@ def test_sinkhorn_scaling_structure():
     f = ratio[:, 0]
     g = ratio[0] - ratio[0, 0]
     np.testing.assert_allclose(ratio, f[:, None] + g[None, :], atol=1e-9)
-    np.testing.assert_allclose(np.exp(f), plan.alpha * plan.beta[0], rtol=1e-9)
-
-
-def test_sinkhorn_balanced_duals():
-    logK = RNG.normal(size=(7, 7))
-    plan = sinkhorn(logK, tol=1e-12)
-    la = np.log(np.sum(plan.alpha))
-    lb = np.log(np.sum(plan.beta))
-    # the scaling split is normalized so neither factor carries all the mass
-    assert abs(la - lb) <= 1e-8
 
 
 def test_sinkhorn_convergence_error_carries_residual():
@@ -280,11 +270,9 @@ def test_transport_plan_swaps_when_first_is_larger():
     plan = transport_plan(X, Y)
     assert plan.W.shape == (len(X), len(Y))
     # Sinkhorn runs on the wide orientation either way, so the plan is the
-    # exact transpose of the reversed call's, scalings exchanged
+    # exact transpose of the reversed call's
     reverse = transport_plan(Y, X)
     assert np.array_equal(plan.W, reverse.W.T)
-    assert np.array_equal(plan.alpha, reverse.beta)
-    assert np.array_equal(plan.beta, reverse.alpha)
 
 
 def test_transport_plan_explicit_epsilon_and_validation():
@@ -334,15 +322,11 @@ def test_plan_container_rejects_corrupt_fields():
     cls = type(plan)
     bad = dict(
         W=plan.W,
-        alpha=plan.alpha,
-        beta=plan.beta,
         epsilon=plan.epsilon,
         iterations=plan.iterations,
         marginal_residual=plan.marginal_residual,
     )
     with pytest.raises(InputError):
         cls(**{**bad, "W": -plan.W})
-    with pytest.raises(InputError):
-        cls(**{**bad, "alpha": plan.alpha[:-1]})
     with pytest.raises(InputError):
         cls(**{**bad, "W": plan.W * np.nan})
