@@ -108,6 +108,8 @@ def triplet_count(q, rank: int) -> int:
 
     A fixed q needs q + 2, one past its last coordinate for the tie check; "auto" reads 12.
     """
+    if isinstance(q, str) and q != "auto":
+        raise InputError(f'q must be a positive integer or "auto", got {q!r}')
     return min(rank, (_AUTO_WINDOW if isinstance(q, str) else check_int(q, "q", 1, rank - 1)) + 2)
 
 
@@ -155,9 +157,7 @@ def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbeddi
     rank = min(m, n)
 
     if isinstance(q, str):
-        if q != "auto":
-            raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-        need = min(rank, _AUTO_WINDOW + 2)
+        need = triplet_count(q, rank)
         if model.s.size < need:
             raise DimensionError(f'q="auto" needs {need} triplets, model holds {model.s.size}')
         q = select_dimension(model.s[:need])
@@ -204,6 +204,8 @@ def eot_eigenmaps(
     JointEmbedding in the caller's order (Xt aligns with X's rows).
     """
     check_int(t, "t", 0)
+    if not (isinstance(q, str) and q == "auto"):
+        check_int(q, "q", 1)  # the upper bound needs the plan's shape
     plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
     return embed_from_model(spectral_model(plan, k=triplet_count(q, min(plan.shape))), q=q, t=t)
 

@@ -22,6 +22,8 @@ from .transport import squared_distance_matrix
 
 DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 200  # Lloyd steps per restart
 
 
 def _validated_labels(labels, count: int) -> np.ndarray:
@@ -194,10 +196,10 @@ def neighbor_purity(points, labels, k: int = DEFAULT_NEIGHBORS) -> float:
     return float(fractions.mean())
 
 
-def _lloyd(P: np.ndarray, centers: np.ndarray, max_iter: int):
+def _lloyd(P: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
     labels = np.argmin(squared_distance_matrix(P, centers), axis=1)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         for c in range(k):
             mask = labels == c
             if mask.any():
@@ -231,24 +233,22 @@ def _seed_centers(P: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return P[chosen].copy()
 
 
-def kmeans(points, k: int, seed: int = 0, restarts: int = 10, max_iter: int = 200) -> np.ndarray:
-    """Lloyd's algorithm with distance-weighted seeding, best of ``restarts``.
+def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm with distance-weighted seeding, best of 10 restarts.
 
     Restart r uses its own counter-based stream derived from (seed, r), so
-    results are reproducible.  Empty clusters are re-seeded at the point
-    farthest from its assigned center.  Returns the labeling with the lowest
-    within-cluster sum of squares.
+    results are reproducible, and runs at most 200 Lloyd steps.  Empty
+    clusters are re-seeded at the point farthest from its assigned center.
+    Returns the labeling with the lowest within-cluster sum of squares.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0])
-    restarts = check_int(restarts, "restarts", 1)
-    max_iter = check_int(max_iter, "max_iter", 1)
 
     best_labels, best_wcss = None, np.inf
-    for restart in range(restarts):
+    for restart in range(_KMEANS_RESTARTS):
         rng = _stream(seed, 3, restart)  # role 3: clustering restarts
         centers = _seed_centers(P, k, rng)
-        labels, wcss = _lloyd(P, centers, max_iter)
+        labels, wcss = _lloyd(P, centers)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels

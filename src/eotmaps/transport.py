@@ -74,20 +74,17 @@ class TransportPlan:
 
     Attributes
     ----------
-    W : (|X|, |Y|) strictly positive plan matrix, rows for the caller's X and
-        columns for Y; a transposed, Fortran-ordered view when X is the
-        larger cloud
+    W : (|X|, |Y|) strictly positive float64 plan matrix (a float64 array is
+        kept, not copied), rows for the caller's X and columns for Y; a
+        transposed, Fortran-ordered view when X is the larger cloud
     epsilon : bandwidth used to build the kernel, or None when the kernel
         was supplied directly
     iterations : number of full sweeps performed
-    marginal_residual : max absolute deviation of row/column sums from their
-        targets, measured on W as returned
     """
 
     W: np.ndarray
     epsilon: float | None
     iterations: int
-    marginal_residual: float
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -97,6 +94,7 @@ class TransportPlan:
             raise InputError("W contains non-finite entries")
         if (W <= 0).any():
             raise InputError("W must be strictly positive")
+        object.__setattr__(self, "W", W)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -158,8 +156,6 @@ def sinkhorn(
 
     log_row_target = 0.5 * (np.log(n) - np.log(m))
     log_col_target = -log_row_target
-    row_target = np.exp(log_row_target)
-    col_target = np.exp(log_col_target)
 
     buf = np.empty((m, n))
     g = np.zeros(n)
@@ -195,16 +191,7 @@ def sinkhorn(
             "plan entries underflowed to zero; the kernel's dynamic range is too "
             "large for a dense strictly-positive plan"
         )
-    residual_abs = max(
-        np.abs(W.sum(axis=1) - row_target).max(),
-        np.abs(W.sum(axis=0) - col_target).max(),
-    )
-    return TransportPlan(
-        W=W,
-        epsilon=epsilon,
-        iterations=sweep,
-        marginal_residual=float(residual_abs),
-    )
+    return TransportPlan(W=W, epsilon=epsilon, iterations=sweep)
 
 
 def transport_plan(

@@ -369,13 +369,83 @@ def test_diffusion_time_checked_before_the_plan(tmp_path, workdir, monkeypatch, 
     assert "t must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["0", "bogus"])
+def test_embed_q_checked_before_the_plan(tmp_path, workdir, monkeypatch, capsys, q):
+    import eotmaps.transport as transport
+    from eotmaps import cli
+
+    def unreachable(X, Y, **kwargs):
+        raise AssertionError("the plan was solved before q was checked")
+
+    monkeypatch.setattr(transport, "transport_plan", unreachable)
+    code = cli.main([
+        "embed", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"), "--q", q,
+        "--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv"),
+    ])
+    assert code == 2
+    assert "q must be" in capsys.readouterr().err
+
+
+def test_output_files_text(tmp_path, workdir, monkeypatch):
+    # the exact bytes of the label, embedding and spectrum tables, from fixed
+    # arrays: integer columns without ".0", %.17g values (-0, subnormals,
+    # exponents), one header line and a trailing newline
+    from types import SimpleNamespace
+
+    import eotmaps.embedding as embedding
+    import eotmaps.linalg as linalg
+    import eotmaps.simulate as simulate
+    import eotmaps.transport as transport
+    from eotmaps import cli
+
+    points = SimpleNamespace(values=np.ones((2, 3)))
+    pair = SimpleNamespace(
+        name="fixed", X=points, Y=points, pooled_latent=np.zeros((4, 1)),
+        pooled_labels=np.array([0, 2, 1, 10]), latent_x=SimpleNamespace(labels=None),
+    )
+    monkeypatch.setattr(simulate, "preset", lambda *args: pair)
+    write_config(tmp_path / "c.json")
+    assert cli.main([
+        "simulate", "--config", str(tmp_path / "c.json"),
+        "--out-x", str(tmp_path / "X.csv"), "--out-y", str(tmp_path / "Y.csv"),
+        "--out-latent", str(tmp_path / "L.csv"), "--out-labels", str(tmp_path / "labels.txt"),
+    ]) == 0
+    assert (tmp_path / "labels.txt").read_text() == "0\n2\n1\n10\n"
+
+    plan = SimpleNamespace(shape=(2, 3), W=None, epsilon=0.5, iterations=7)
+    emb = SimpleNamespace(
+        Xt=np.array([[-0.0, 5e-324], [1 / 3, 1e22]]),
+        Yt=np.array([[2.0, -1 / 3], [1.5, 0.0], [-7.0, 1e-300]]),
+        q=2, t=0,
+    )
+    monkeypatch.setattr(transport, "transport_plan", lambda X, Y, **kwargs: plan)
+    monkeypatch.setattr(linalg, "singular_values", lambda W: np.array([1.0, 1 / 3, 5e-324, -0.0]))
+    monkeypatch.setattr(embedding, "spectral_model", lambda plan, k: None)
+    monkeypatch.setattr(embedding, "embed_from_model", lambda model, q, t: emb)
+    assert cli.main([
+        "embed", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
+        "--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv"),
+    ]) == 0
+    assert (tmp_path / "e.csv").read_text() == (
+        "dataset,point_index,coord_1,coord_2\n"
+        "0,0,-0,4.9406564584124654e-324\n"
+        "0,1,0.33333333333333331,1e+22\n"
+        "1,0,2,-0.33333333333333331\n"
+        "1,1,1.5,0\n"
+        "1,2,-7,1e-300\n"
+    )
+    assert (tmp_path / "s.csv").read_text() == (
+        "k,s\n1,1\n2,0.33333333333333331\n3,4.9406564584124654e-324\n4,-0\n"
+    )
+
+
 def test_distances_unconverged_plan_exits_3(tmp_path, workdir, monkeypatch, capsys):
     import eotmaps.transport as transport
     from eotmaps import TransportPlan, cli
 
     def unconverged(X, Y, **kwargs):
         W = np.random.default_rng(3).uniform(0.5, 1.5, size=(len(X), len(Y)))
-        return TransportPlan(W=W, epsilon=1.0, iterations=1, marginal_residual=1.0)
+        return TransportPlan(W=W, epsilon=1.0, iterations=1)
 
     monkeypatch.setattr(transport, "transport_plan", unconverged)
     pairs = tmp_path / "pairs.csv"

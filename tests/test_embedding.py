@@ -92,12 +92,7 @@ def test_spectral_model_certifies_trivial_pair(pair):
 def test_spectral_model_rejects_unconverged_plan():
     rng = np.random.default_rng(3)
     W = rng.uniform(0.5, 1.5, size=(5, 8))
-    bogus = TransportPlan(
-        W=W,
-        epsilon=1.0,
-        iterations=1,
-        marginal_residual=1.0,
-    )
+    bogus = TransportPlan(W=W, epsilon=1.0, iterations=1)
     with pytest.raises(PlanNotConvergedError):
         spectral_model(bogus, k=3)
 
@@ -118,6 +113,8 @@ def test_triplet_count():
     assert embedding.triplet_count("auto", 8) == 8
     with pytest.raises(DimensionError):
         embedding.triplet_count(4, 4)
+    with pytest.raises(InputError, match='"auto"'):
+        embedding.triplet_count("bogus", 100)
 
 
 def test_spectral_model_k_validation(pair):
@@ -323,6 +320,17 @@ def test_eot_eigenmaps_validation(pair):
         eot_eigenmaps(X, Y, t=1.5)
     with pytest.raises(DimensionError):
         eot_eigenmaps(X, Y, q=len(X))
+
+
+@pytest.mark.parametrize("q,error", [("bogus", InputError), (True, InputError), (0, DimensionError)])
+def test_eot_eigenmaps_checks_q_before_the_plan(pair, monkeypatch, q, error):
+    def unreachable(X, Y, **kwargs):
+        raise AssertionError("the plan was solved before q was checked")
+
+    monkeypatch.setattr(embedding, "transport_plan", unreachable)
+    X, Y, _ = pair
+    with pytest.raises(error):
+        eot_eigenmaps(X, Y, q=q)
 
 
 def test_embedding_cost_validation(pair):

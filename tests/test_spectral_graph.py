@@ -189,12 +189,7 @@ def test_build_operators_size_gate(plan):
 def test_build_operators_rejects_violated_marginals():
     rng = np.random.default_rng(11)
     W = rng.uniform(0.1, 0.9, size=(4, 6))
-    bogus = TransportPlan(
-        W=W,
-        epsilon=1.0,
-        iterations=1,
-        marginal_residual=1.0,
-    )
+    bogus = TransportPlan(W=W, epsilon=1.0, iterations=1)
     with pytest.raises(InvariantError):
         build_operators(bogus)
 
