@@ -12,8 +12,9 @@ def pca_embed(X, q: int) -> np.ndarray:
     """Scores on the top-q principal directions of the column-centered data.
 
     Directions are eigenvectors of the sample covariance (descending
-    eigenvalues) with the deterministic sign convention of
-    :func:`eotmaps.linalg.truncated_svd`.
+    eigenvalues), signed by :func:`eotmaps.linalg.truncated_svd`'s rule on
+    the short side of the centered data: the direction itself when there
+    are more rows than features, the normalized score vector otherwise.
     """
     X = as_matrix(X, "X")
     m, p = X.shape

@@ -64,7 +64,7 @@ class DiffusionContext:
             model = spectral_model(self.plan, min(m, n))
             s, Xt, Yt, powers = model.s, model.U, model.V, (1, 1)
         else:
-            W = self.plan.W if m <= n else self.plan.W.T  # the wide array the plan solved on
+            W = self.plan.W if m <= n else self.plan.W.T  # W W^T is r x r, on the small side
             lam, U = gram_eigenpairs(W)
             s = np.sqrt(np.maximum(lam, 0.0))  # rounding can push small s^2 below 0
             WtU = W.T @ U

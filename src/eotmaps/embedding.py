@@ -73,13 +73,7 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     """
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
-    m, n = plan.shape
-    # Factor the wide orientation, the C-ordered array transport_plan solved
-    # on, so truncated_svd sees the same array and fixes the same signs.
-    if m > n:
-        s, V, U = truncated_svd(plan.W.T, k)
-    else:
-        s, U, V = truncated_svd(plan.W, k)
+    s, U, V = truncated_svd(plan.W, k)
     _certify_trivial_pair(s[0], U[:, 0], V[:, 0])
     return SpectralModel(s=s, U=U, V=V)
 

@@ -1,20 +1,20 @@
 """Dense linear-algebra primitives with deterministic sign conventions.
 
 Everything downstream (plan factorization, spectra, embeddings) funnels
-through ``truncated_svd``, so its conventions are pinned once:
+through ``truncated_svd``, which decides each of these once:
 
-* singular triplets come out in deterministic order (descending values)
-  with deterministic signs, so repeated runs on the same input are bitwise
-  identical;
-* the sign of each left singular vector is fixed by making its
-  largest-magnitude entry positive (first such entry on ties), and the
-  right vector flips with it, so ``u^T A v = s >= 0`` holds by
-  construction on every path.
+* one orientation: it factors the wide orientation W of its input (A, or
+  A^T when A is tall) and maps the factors back;
+* one sign rule: each short-side vector (W's left vector) has its
+  largest-magnitude entry made positive (the first, on ties), and its
+  long-side partner flips with it, so ``u^T A v = s >= 0`` by construction
+  and ``truncated_svd(A.T, k)`` is the exact mirror of ``truncated_svd(A, k)``;
+* one certificate: block subspace iteration (Halko, Martinsson & Tropp
+  2011, "Finding structure with randomness", SIAM Review) and then the
+  small-side Gram eigenpairs propose triplets, a proposal is kept only when
+  its two-sided residual passes, and a thin dense SVD serves the rest.
 
-``truncated_svd`` tries three paths in order: block subspace iteration
-(Halko, Martinsson & Tropp 2011, "Finding structure with randomness", SIAM
-Review), the eigenpairs of the small-side Gram matrix, and a thin dense SVD.
-The first two certify every triplet by its two-sided residual.
+Triplets come out in descending order, bitwise reproducible on identical input.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ _TIE_TOL = 1e-12
 _OVERSAMPLE = 4
 _SUBSPACE_RATIO = 4
 _START_KEY = 2011  # Philox key of the start block
-# The iteration stops once max ||A v - s u|| / s_1 is at most _STOP_TOL, or
+# The iteration stops once max ||W v - s u|| / s_1 is at most _STOP_TOL, or
 # once it is at most _FLOOR_TOL and no longer falls (rounding floor reached).
 # The k-th vector's error grows like this residual over its gap to s_{k+1}.
 _STOP_TOL = 1e-14
 _FLOOR_TOL = 1e-12
-_CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 every returned triplet must meet
+_CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 an iterative proposal must meet
 
 
 def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -124,13 +124,13 @@ def fits_in_memory(shape: tuple[int, int], subject: str = "the dense SVD of a {}
 def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
     """Apply the deterministic sign convention in place.
 
-    For each triplet the entry of u with the largest magnitude is made
-    positive, and v flips with u; entries within a relative _TIE_TOL of that
-    magnitude count as tied, and the first of them decides.  Every path
-    hands over pairs with u^T A v = s >= 0 (A = U S V^T on the dense path;
-    A^T u = s v by construction and the two-sided certificate on the
+    For each triplet of the wide W the entry of u with the largest magnitude
+    is made positive, and v flips with u; entries within a relative _TIE_TOL
+    of that magnitude count as tied, and the first of them decides.  Every
+    path hands over pairs with u^T W v = s >= 0 (W = U S V^T on the dense
+    path; W^T u = s v by construction and the two-sided certificate on the
     others), and a joint flip keeps that product, so no check against
-    A is needed.  At or below SINGULAR_FLOOR the product carries no sign
+    W is needed.  At or below SINGULAR_FLOOR the product carries no sign
     information, so v gets the largest-entry rule independently.
     """
     flips = _largest_entry_signs(U)
@@ -148,29 +148,28 @@ def _largest_entry_signs(M: np.ndarray) -> np.ndarray:
     return np.where(M[idx, np.arange(M.shape[1])] < 0, -1.0, 1.0)
 
 
-def _subspace_svd(A: np.ndarray, k: int):
-    """Leading k triplets of A by block subspace iteration (or None), and the step count.
+def _subspace_svd(W: np.ndarray, k: int):
+    """Leading k triplets of a wide W by block subspace iteration (or None), and the step count.
 
-    Each step maps an orthonormal n x b block Q to P = orth(A Q), then
-    A^T P = Q' R, and takes the Ritz triplets from the SVD of the b x b
-    factor R^T = P^T A Q'.  A^T U = V S holds by construction, and
-    ||A V - U S|| is read from the next A Q' product.  From the third
+    Each step maps an orthonormal n x b block Q to P = orth(W Q), then
+    W^T P = Q' R, and takes the Ritz triplets from the SVD of the b x b
+    factor R^T = P^T W Q'.  W^T U = V S holds by construction, and
+    ||W V - U S|| is read from the next W Q' product.  From the third
     residual on, rho = sqrt(r_j / r_{j-2}) (Ritz residuals can alternate)
     predicts the steps left to _STOP_TOL; if those, at two b-column passes
-    over A each, would cost more than one r-column pass, r = min(m, n), the
-    loop hands off (None).  The count is the number of A Q products.
-    Triplets that stop but fail the certificate raise NumericalError.
+    over W each, would cost more than one r-column pass (W is r x n), the
+    loop hands off (None).  The count is the number of W Q products.
     """
-    r, n = min(A.shape), A.shape[1]
+    r, n = W.shape
     b = k + _OVERSAMPLE
     rng = np.random.Generator(np.random.Philox(key=_START_KEY))
     Q = np.linalg.qr(rng.standard_normal((n, b)))[0]
     s = None
     residuals = []
     for steps in itertools.count(1):
-        AQ = A @ Q
+        WQ = W @ Q
         if s is not None:
-            residual = np.linalg.norm(AQ @ Vs - U * s, axis=0).max()
+            residual = np.linalg.norm(WQ @ Vs - U * s, axis=0).max()
             stalled = residuals and residuals[-1] <= residual <= _FLOOR_TOL * s[0]
             if residual <= _STOP_TOL * s[0] or stalled:
                 break
@@ -179,23 +178,15 @@ def _subspace_svd(A: np.ndarray, k: int):
                 rho = np.sqrt(residual / residuals[-3])  # NaN when the norms overflow
                 if not rho < 1.0 or np.log(_STOP_TOL * s[0] / residual) / np.log(rho) * 2 * b > r:
                     return None, steps
-        P = np.linalg.qr(AQ)[0]
-        # (P^T A)^T reads a C-ordered A along its rows: 2-3x faster than
-        # A.T @ P with OpenBLAS on 2 threads.
-        Q, R = np.linalg.qr((P.T @ A).T)
+        P = np.linalg.qr(WQ)[0]
+        # (P^T W)^T reads a C-ordered W along its rows: 2-3x faster than
+        # W.T @ P with OpenBLAS on 2 threads.
+        Q, R = np.linalg.qr((P.T @ W).T)
         Us, s_all, Vst = np.linalg.svd(R.T)
         s = s_all[:k]
         U = P @ Us[:, :k]
         Vs = np.ascontiguousarray(Vst[:k].T)
-
-    V = Q @ Vs
-    residual = _residual(A, s, U, V)
-    if not residual <= _CERTIFICATE_TOL * s[0]:
-        raise NumericalError(
-            f"subspace iteration residual {residual:.3e} exceeds "
-            f"{_CERTIFICATE_TOL:g} * s_1 = {_CERTIFICATE_TOL * s[0]:.3e}"
-        )
-    return (s, U, V), steps
+    return (s, U, Q @ Vs), steps
 
 
 def gram_eigenpairs(W: np.ndarray):
@@ -211,13 +202,11 @@ def gram_eigenpairs(W: np.ndarray):
     return lam[::-1], Z[:, ::-1]
 
 
-def _gram_svd(A: np.ndarray, k: int):
-    """Leading k triplets from eigh(W W^T), W the wide orientation of A, or None.
+def _gram_svd(W: np.ndarray, k: int):
+    """Leading k triplets of a wide W from eigh(W W^T), long side W^T u / s, or None.
 
-    The long-side vectors are W^T u / s.  W W^T rounds at about eps * s_1^2,
-    so values near sqrt(eps) * s_1 fail the certificate: None (dense path).
+    W W^T rounds at about eps * s_1^2, so values near sqrt(eps) * s_1 fail the certificate.
     """
-    W = A if A.shape[0] <= A.shape[1] else A.T
     try:
         lam, Z = gram_eigenpairs(W)
     except NumericalError:
@@ -226,9 +215,7 @@ def _gram_svd(A: np.ndarray, k: int):
     if not lam[-1] > 0.0:
         return None
     s = np.sqrt(lam)
-    X = (Z.T @ W).T / s
-    U, V = (Z, X) if W is A else (X, Z)
-    return (s, U, V) if _residual(A, s, U, V) <= _CERTIFICATE_TOL * s[0] else None
+    return s, Z, (Z.T @ W).T / s
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -237,19 +224,17 @@ def singular_values(A: np.ndarray) -> np.ndarray:
         return np.linalg.svd(A if A.shape[0] <= A.shape[1] else A.T, compute_uv=False)
 
 
-def _dense_svd(A: np.ndarray, k: int):
-    """Leading k triplets sliced from one thin dense SVD of A's wide orientation."""
-    W = A if A.shape[0] <= A.shape[1] else A.T
+def _dense_svd(W: np.ndarray, k: int):
+    """Leading k triplets of W sliced from one thin dense SVD."""
     L, s, Rt = np.linalg.svd(W, full_matrices=False)
-    U, V = (L, Rt.T) if W is A else (Rt.T, L)
-    return s[:k], U[:, :k], V[:, :k]
+    return s[:k], L[:, :k], Rt[:k].T
 
 
-def _residual(A: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
-    """Largest ||A v - s u|| or ||A^T u - s v|| over the triplets."""
+def _residual(W: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
+    """Largest ||W v - s u|| or ||W^T u - s v|| over the triplets."""
     return max(
-        np.linalg.norm(A @ V - U * s, axis=0).max(),
-        np.linalg.norm((U.T @ A).T - V * s, axis=0).max(),
+        np.linalg.norm(W @ V - U * s, axis=0).max(),
+        np.linalg.norm((U.T @ W).T - V * s, axis=0).max(),
     )
 
 
@@ -267,31 +252,40 @@ def truncated_svd(A, k: int):
     U : (m, k) left singular vectors, orthonormal columns
     V : (n, k) right singular vectors, orthonormal columns
 
-    When 4 * (k + 4) <= r = min(m, n), block subspace iteration with k + 4
-    vectors from a fixed Philox start stops once ||A v - s u|| <= 1e-14 * s_1
-    for every triplet (or once it is below 1e-12 * s_1 and no longer falls).
-    It hands off to the eigenpairs of the r x r Gram matrix when its
-    residuals' contraction predicts more work than one r-column pass over A.
-    Both paths return only triplets with ||A v - s u|| and ||A^T u - s v||
-    at most 1e-10 * s_1; a failing subspace result raises NumericalError,
-    and a failing Gram one goes to a thin dense SVD of A (or of A^T when A
-    is tall), sliced, which also serves larger k.  Running out of memory
-    raises InputError naming the size.  Signs follow the module convention
-    on every path, so u^T A v = s >= 0 holds by construction and results
-    are reproducible bit-for-bit on identical input.
+    Every path factors the wide orientation W (A, or A^T when A is tall).
+    With r = min(m, n) and 4 * (k + 4) <= r, two iterative paths propose
+    triplets in turn: block subspace iteration with k + 4 vectors from a
+    fixed Philox start (it stops at ||W v - s u|| <= 1e-14 * s_1, or below
+    1e-12 * s_1 once that stops falling, and hands off when its residuals
+    contract too slowly to beat one r-column pass over W), then the
+    eigenpairs of the r x r Gram matrix W W^T.  The first proposal whose
+    ||W v - s u|| and ||W^T u - s v|| are at most 1e-10 * s_1 is returned;
+    otherwise a thin dense SVD of W, sliced, serves the call.  The
+    certificate bounds the backward error, so a vector's error can reach
+    the residual over its gap to the neighbouring values (about 1e-6 for
+    nearly tied small values).  Running out of memory raises InputError.
+
+    Signs are fixed on W's left vectors, the short side, before the factors
+    are mapped back: for non-square A, ``truncated_svd(A.T, k)`` returns
+    exactly ``(s, V, U)`` of ``truncated_svd(A, k)``.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
     k = check_int(k, "k", 1, min(m, n))
+    W = A if m <= n else A.T
 
-    triplets = None
+    iterative = _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n)
+    proposals = (lambda: _subspace_svd(W, k)[0], lambda: _gram_svd(W, k)) if iterative else ()
     with fits_in_memory(A.shape):
-        if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
-            triplets = _subspace_svd(A, k)[0] or _gram_svd(A, k)
-        triplets = triplets or _dense_svd(A, k)
+        for propose in proposals:
+            triplets = propose()
+            if triplets and _residual(W, *triplets) <= _CERTIFICATE_TOL * triplets[0][0]:
+                break
+        else:
+            triplets = _dense_svd(W, k)
     s, U, V = (np.ascontiguousarray(x) for x in triplets)
     _fix_singular_signs(s, U, V)
 
     if not (np.isfinite(s).all() and np.isfinite(U).all() and np.isfinite(V).all()):
         raise NumericalError("SVD produced non-finite factors")
-    return s, U, V
+    return (s, U, V) if W is A else (s, V, U)

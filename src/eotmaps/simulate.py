@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix, check_int, check_real
+from .linalg import DataMatrix, as_matrix, check_int, check_real
 
 _ROLE_LATENT = 0
 _ROLE_NUISANCE = 1
@@ -51,11 +51,7 @@ class LatentSample:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.size == 0:
-            raise InputError("latent points must be a non-empty 2-D array")
-        if not np.isfinite(pts).all():
-            raise InputError("latent points contain non-finite entries")
+        pts = as_matrix(self.points, "latent points")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
             lab = np.asarray(self.labels)

@@ -87,11 +87,7 @@ class TransportPlan:
     iterations: int
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        if W.ndim != 2 or W.size == 0:
-            raise InputError("W must be a non-empty 2-D array")
-        if not np.isfinite(W).all():
-            raise InputError("W contains non-finite entries")
+        W = as_matrix(self.W, "W")
         if (W <= 0).any():
             raise InputError("W must be strictly positive")
         object.__setattr__(self, "W", W)

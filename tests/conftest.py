@@ -6,9 +6,9 @@ PASS/FAIL`` line per criterion in the terminal summary, where pytest's
 output capture cannot swallow it.  Criterion 11 includes the whole-session
 wall time against its 10-minute budget.
 
-Also provides ``svd_paths``, which records the path that served each call
-to ``truncated_svd``: "subspace" (block subspace iteration), "gram" (the
-small-side Gram eigensolve) or "dense" (the sliced dense SVD).
+Also provides ``svd_paths``, which records the path whose triplets each call
+to ``truncated_svd`` returned: "subspace" (block subspace iteration), "gram"
+(the small-side Gram eigensolve) or "dense" (the sliced dense SVD).
 """
 
 import re
@@ -56,22 +56,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def svd_paths(monkeypatch):
     import eotmaps.linalg as linalg
 
-    paths = []
+    paths, proposed = [], []
 
-    def spy(name, original, served):
-        def wrapper(A, k):
-            result = original(A, k)
-            if served(result):
-                paths.append(name)
+    def spy(name, original, proposes):
+        def wrapper(W, k):
+            result = original(W, k)
+            if proposes(result):
+                proposed.append(name)
             return result
 
         return wrapper
 
-    for name, served in [
+    for name, proposes in [
         ("subspace", lambda result: result[0] is not None),
         ("gram", lambda result: result is not None),
         ("dense", lambda result: True),
     ]:
         original = getattr(linalg, f"_{name}_svd")
-        monkeypatch.setattr(linalg, f"_{name}_svd", spy(name, original, served))
+        monkeypatch.setattr(linalg, f"_{name}_svd", spy(name, original, proposes))
+
+    # truncated_svd fixes signs once, on the triplets it returns.  A rejected
+    # proposal is always followed by another path, and the dense one always
+    # proposes, so the last proposal before that step is the one served.
+    fix_signs = linalg._fix_singular_signs
+
+    def served(s, U, V):
+        paths.append(proposed[-1])
+        proposed.clear()
+        fix_signs(s, U, V)
+
+    monkeypatch.setattr(linalg, "_fix_singular_signs", served)
     return paths

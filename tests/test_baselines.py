@@ -8,11 +8,12 @@ RNG = np.random.default_rng(60)
 
 def test_pca_hand_oracle():
     # centered data has orthogonal columns with norms 2 and 4; the top
-    # direction is the second axis, and the sign rule flips it so the first
-    # left-vector entry is positive, making the scores [2, 2, -2, -2]
+    # direction is the second axis, and the sign rule, which reads the short
+    # side (here the direction itself), makes it +e2, so the scores are the
+    # centered second column [-2, -2, 2, 2]
     X = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [2.0, 4.0]])
     scores = pca_embed(X, 1)
-    np.testing.assert_allclose(scores, [[2.0], [2.0], [-2.0], [-2.0]], atol=1e-12)
+    np.testing.assert_allclose(scores, [[-2.0], [-2.0], [2.0], [2.0]], atol=1e-12)
 
 
 def test_pca_scores_are_centered_and_decorrelated():

@@ -11,7 +11,6 @@ from eotmaps import (
     DataMatrix,
     DimensionError,
     InputError,
-    NumericalError,
     median_bandwidth,
     preset,
     squared_distance_matrix,
@@ -91,16 +90,13 @@ def test_svd_truncation_matches_leading_block():
     np.testing.assert_array_equal(V, V_full[:, :3])
 
 
-def test_svd_transpose_exchanges_factors():
+def test_svd_transpose_exchanges_factors(svd_paths):
+    # both orientations factor the same wide array, so the factors swap exactly
     A = RNG.normal(size=(6, 9))
     s, U, V = truncated_svd(A, 6)
-    s_t, U_t, V_t = truncated_svd(A.T, 6)
-    np.testing.assert_allclose(s, s_t, atol=1e-12)
-    # factors swap roles up to a joint sign per pair
-    for k in range(6):
-        sign = np.sign(U_t[:, k] @ V[:, k])
-        np.testing.assert_allclose(U_t[:, k] * sign, V[:, k], atol=1e-10)
-        np.testing.assert_allclose(V_t[:, k] * sign, U[:, k], atol=1e-10)
+    for a, b in zip((s, V, U), truncated_svd(A.T, 6)):
+        np.testing.assert_array_equal(a, b)
+    assert svd_paths == ["dense", "dense"]
 
 
 def test_svd_deterministic():
@@ -237,6 +233,15 @@ def test_svd_gram_path_matches_dense(plans, svd_paths, transpose):
     np.testing.assert_allclose(V, V_full[:, :5], rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("name,path", [("wide", "subspace"), ("flat", "gram")])
+def test_svd_transpose_mirrors_the_iterative_paths(plans, svd_paths, name, path):
+    W = plans[name]
+    s, U, V = truncated_svd(W, 5)
+    for a, b in zip((s, V, U), truncated_svd(W.T, 5)):
+        np.testing.assert_array_equal(a, b)
+    assert svd_paths == [path, path]
+
+
 def test_svd_gram_certificate_failure_goes_dense(svd_paths):
     # s_17..s_20 sit in a cluster at 1e-9 < sqrt(eps): subspace iteration
     # hands off, and the Gram product has rounded those values away.
@@ -277,10 +282,11 @@ import numpy as np
 import eotmaps.linalg as linalg
 
 W = np.load(sys.argv[1])
-if linalg._subspace_svd(W, 5)[0] is not None:
+wide = W if W.shape[0] <= W.shape[1] else W.T  # the orientation truncated_svd factors
+if linalg._subspace_svd(wide, 5)[0] is not None:
     path = "subspace"
 else:
-    path = "dense" if linalg._gram_svd(W, 5) is None else "gram"
+    path = "dense" if linalg._gram_svd(wide, 5) is None else "gram"
 np.savez(sys.argv[2], *linalg.truncated_svd(W, 5), path=path)
 """
 
@@ -303,7 +309,12 @@ def test_svd_gram_path_agrees_across_thread_counts(plans, tmp_path):
         np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-12)
 
 
-def test_svd_subspace_certificate_failure_raises(plans, monkeypatch):
+def test_svd_subspace_certificate_failure_goes_dense(plans, svd_paths, monkeypatch):
+    # a certificate no proposal can meet: every call is served by the dense SVD
     monkeypatch.setattr(linalg, "_CERTIFICATE_TOL", 0.0)
-    with pytest.raises(NumericalError, match="residual"):
-        truncated_svd(plans["square"], 5)
+    s, U, V = truncated_svd(plans["square"], 5)
+    assert svd_paths == ["dense"]
+    s_full, U_full, V_full = truncated_svd(plans["square"], 300)
+    np.testing.assert_array_equal(s, s_full[:5])
+    np.testing.assert_array_equal(U, U_full[:, :5])
+    np.testing.assert_array_equal(V, V_full[:, :5])

@@ -7,6 +7,7 @@ from eotmaps import (
     ConvergenceError,
     DegenerateBandwidthError,
     InputError,
+    LatentSample,
     NumericalError,
     TransportPlan,
     median_bandwidth,
@@ -326,6 +327,14 @@ def test_plan_container_rejects_corrupt_fields():
         cls(**{**bad, "W": -plan.W})
     with pytest.raises(InputError):
         cls(**{**bad, "W": plan.W * np.nan})
+
+
+@pytest.mark.parametrize("bad", [[["a"]], object()], ids=["string", "object"])
+def test_containers_reject_non_numeric_arrays(bad):
+    with pytest.raises(InputError, match="W must be a matrix of real numbers"):
+        TransportPlan(W=bad, epsilon=None, iterations=1)
+    with pytest.raises(InputError, match="latent points must be a matrix of real numbers"):
+        LatentSample(points=bad)
 
 
 def test_plan_container_stores_a_float_array():
