@@ -16,8 +16,8 @@ File conventions
 Exit codes: 0 success; 2 invalid input (bad flags, malformed files or
 config, shape mismatches, a transport plan, or the SVD or Gram
 eigendecomposition of one, too large for memory); 3 numerical failure
-(non-convergence, an unconverged plan, degenerate results, a failed SVD
-residual certificate).
+(non-convergence, an unconverged plan, degenerate results, non-finite SVD
+factors, a failed eigendecomposition of the Gram matrix).
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 cap the BLAS thread pools before numpy loads; only the exception classes of

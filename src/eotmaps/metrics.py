@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_matrix, check_int
 from .simulate import _stream
-from .transport import squared_distance_matrix
+from .transport import _squared_distances, squared_distance_matrix
 
 DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
@@ -196,9 +196,9 @@ def neighbor_purity(points, labels, k: int = DEFAULT_NEIGHBORS) -> float:
     return float(fractions.mean())
 
 
-def _lloyd(P: np.ndarray, centers: np.ndarray):
+def _lloyd(P: np.ndarray, sq_p: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
-    labels = np.argmin(squared_distance_matrix(P, centers), axis=1)
+    labels = np.argmin(_squared_distances(P, centers, sq_p), axis=1)
     for _ in range(_KMEANS_MAX_ITER):
         for c in range(k):
             mask = labels == c
@@ -206,9 +206,9 @@ def _lloyd(P: np.ndarray, centers: np.ndarray):
                 centers[c] = P[mask].mean(axis=0)
             else:
                 # Re-seed an empty cluster at the point farthest from its center.
-                d2 = np.min(squared_distance_matrix(P, centers), axis=1)
+                d2 = np.min(_squared_distances(P, centers, sq_p), axis=1)
                 centers[c] = P[int(np.argmax(d2))]
-        new_labels = np.argmin(squared_distance_matrix(P, centers), axis=1)
+        new_labels = np.argmin(_squared_distances(P, centers, sq_p), axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -216,12 +216,12 @@ def _lloyd(P: np.ndarray, centers: np.ndarray):
     return labels, wcss
 
 
-def _seed_centers(P: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centers(P: np.ndarray, sq_p: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted greedy seeding: next center drawn with prob ~ min squared distance."""
     N = P.shape[0]
     chosen = [int(rng.integers(N))]
     for _ in range(k - 1):
-        d2 = np.min(squared_distance_matrix(P, P[chosen]), axis=1)
+        d2 = np.min(_squared_distances(P, P[chosen], sq_p), axis=1)
         total = d2.sum()
         if total > 0:
             chosen.append(int(rng.choice(N, p=d2 / total)))
@@ -243,12 +243,13 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0])
+    sq_p = np.einsum("ij,ij->i", P, P)  # P is checked once, not per distance call
 
     best_labels, best_wcss = None, np.inf
     for restart in range(_KMEANS_RESTARTS):
         rng = _stream(seed, 3, restart)  # role 3: clustering restarts
-        centers = _seed_centers(P, k, rng)
-        labels, wcss = _lloyd(P, centers)
+        centers = _seed_centers(P, sq_p, k, rng)
+        labels, wcss = _lloyd(P, sq_p, centers)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels
