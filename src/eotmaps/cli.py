@@ -46,13 +46,8 @@ def _apply_threads(threads: int | None):
         return
     if "numpy" in sys.modules:
         print("warning: numpy already loaded; --threads may have no effect", file=sys.stderr)
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = str(threads)
 
 
@@ -130,22 +125,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _parse_epsilon(text: str):
-    if text == "median":
-        return "median"
+def _parse_flag(text: str, flag: str, keyword: str, cast, kind: str):
+    """``keyword`` as given, else ``text`` read by ``cast`` (``kind`` names it in the error)."""
+    if text == keyword:
+        return keyword
     try:
-        return float(text)
+        return cast(text)
     except ValueError:
-        raise InputError(f'--epsilon must be a number or "median", got {text!r}')
-
-
-def _parse_q(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f'--q must be an integer or "auto", got {text!r}')
+        raise InputError(f'{flag} must be {kind} or "{keyword}", got {text!r}')
 
 
 def cmd_simulate(args) -> int:
@@ -175,9 +162,8 @@ def _plan(args):
 
     X = _read_matrix(args.in_x)
     Y = _read_matrix(args.in_y)
-    return transport.transport_plan(
-        X, Y, epsilon=_parse_epsilon(args.epsilon), tol=args.tol, max_iter=args.max_iter
-    )
+    epsilon = _parse_flag(args.epsilon, "--epsilon", "median", float, "a number")
+    return transport.transport_plan(X, Y, epsilon=epsilon, tol=args.tol, max_iter=args.max_iter)
 
 
 def cmd_embed(args) -> int:
@@ -185,7 +171,7 @@ def cmd_embed(args) -> int:
 
     from . import embedding, linalg
 
-    q = _parse_q(args.q)
+    q = _parse_flag(args.q, "--q", "auto", int, "an integer")
     if q != "auto":
         linalg.check_int(q, "q", 1)  # the upper bound needs the plan's shape
     linalg.check_int(args.t, "t", 0)
@@ -242,9 +228,7 @@ def cmd_evaluate(args) -> int:
             value = metrics.neighbor_purity(coords, labels, k=args.k)
             params["k"] = args.k
 
-    payload = json.dumps(
-        {"metric": args.metric, "value": value, "params": params}, sort_keys=True
-    )
+    payload = json.dumps({"metric": args.metric, "value": value, "params": params}, sort_keys=True)
     if args.out == "-":
         print(payload)
     else:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .embedding import _certify_trivial_pair, spectral_model
 from .errors import DimensionError, InputError
-from .linalg import check_int, check_real, gram_eigenpairs
+from .linalg import _small_side_gram, check_int, check_real
 from .transport import TransportPlan
 
 _BLOCKS = ("XX", "XY", "YX", "YY")
@@ -64,10 +64,8 @@ class DiffusionContext:
             model = spectral_model(self.plan, min(m, n))
             s, Xt, Yt, powers = model.s, model.U, model.V, (1, 1)
         else:
-            W = self.plan.W if m <= n else self.plan.W.T  # W W^T is r x r, on the small side
-            lam, U = gram_eigenpairs(W)
+            lam, U, WtU = _small_side_gram(self.plan.W, min(m, n))
             s = np.sqrt(np.maximum(lam, 0.0))  # rounding can push small s^2 below 0
-            WtU = W.T @ U
             _certify_trivial_pair(s[0], U[:, 0], WtU[:, 0] / s[0])
             # the long side holds W^T u_k = s_k v_k: one power of s less
             Xt, Yt = (U, WtU) if m <= n else (WtU, U)

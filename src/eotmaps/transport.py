@@ -66,7 +66,7 @@ def _squared_distances(X, Y, sq_x) -> np.ndarray:
 def median_bandwidth(D2) -> float:
     """Median of all squared distances (even counts average the central pair)."""
     D2 = as_matrix(D2, "D2")
-    if (D2 < 0).any():
+    if D2.min() < 0:
         raise InputError("D2 must be nonnegative")
     med = float(np.median(D2))
     if med <= 0.0:
@@ -96,7 +96,7 @@ class TransportPlan:
 
     def __post_init__(self):
         W = as_matrix(self.W, "W")
-        if (W <= 0).any():
+        if W.min() <= 0:
             raise InputError("W must be strictly positive")
         object.__setattr__(self, "W", W)
 
@@ -211,8 +211,6 @@ def sinkhorn(
             f"(residual {residual_rel:.3e})",
             residual=float(residual_rel),
         )
-    del history  # the m x n underflow checks below set the peak memory
-
     # Shift the duals by +/- the same constant so sum(exp(f)) == sum(exp(g)).
     # W is unchanged in exact arithmetic but not in rounding: built from the
     # unshifted duals, about half its entries move by an ulp, and the
@@ -223,7 +221,7 @@ def sinkhorn(
     W = np.add(f[:, None], logK, out=buf)
     np.add(W, g, out=W)
     np.exp(W, out=W)
-    if (W <= 0).any():
+    if W.min() <= 0:
         raise NumericalError(
             "plan entries underflowed to zero; the kernel's dynamic range is too "
             "large for a dense strictly-positive plan"

@@ -276,13 +276,51 @@ def test_svd_gram_memory_error_names_the_size(monkeypatch):
         truncated_svd(CLUSTERED, 5)
 
 
+@pytest.mark.parametrize(
+    "name,columns,transpose",
+    [("wide", 400, False), ("wide", 400, True), ("square", 300, False),
+     ("wide", 359, False), ("wide", 360, False), ("flat", 100, False)],
+    ids=["wide", "tall", "square", "below-crossover", "at-crossover", "tall-aspect-4"],
+)
+def test_singular_values_match_the_plain_svd(plans, monkeypatch, name, columns, transpose):
+    # plans (s_1 = 1) and blocks of them, as the CLI passes; on Gaussian
+    # 400 x 300 matrices, whose values are all large, the two SVDs differed
+    # by up to 17 eps * s_1
+    A = plans[name][:, :columns]
+    A = A.T if transpose else A
+    wide = linalg._wide(A)
+    plain = np.linalg.svd(A, compute_uv=False)
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: qr_calls.append(1) or qr(*args, **kwargs))
+    s = linalg.singular_values(A)
+    assert s.shape == (min(A.shape),)
+    np.testing.assert_allclose(s, plain, rtol=0, atol=4 * np.finfo(float).eps * plain[0])
+    assert (np.diff(s) <= 0).all()
+    # QR first from N >= 6/5 r; below that, the bits of the plain SVD
+    assert bool(qr_calls) == (wide.shape[1] >= 1.2 * wide.shape[0])
+    if not qr_calls:
+        np.testing.assert_array_equal(s, np.linalg.svd(wide, compute_uv=False))
+    if A.shape[0] != A.shape[1]:
+        np.testing.assert_array_equal(s, linalg.singular_values(A.T))
+
+
+def test_singular_values_qr_memory_error_names_the_size(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.linalg, "qr", exhausted)
+    with pytest.raises(InputError, match=r"40 x 100 matrix does not fit in memory.*MiB"):
+        linalg.singular_values(np.ones((40, 100)))
+
+
 _CHILD = """
 import sys
 import numpy as np
 import eotmaps.linalg as linalg
 
 W = np.load(sys.argv[1])
-wide = W if W.shape[0] <= W.shape[1] else W.T  # the orientation truncated_svd factors
+wide = linalg._wide(W)  # the orientation truncated_svd factors
 if linalg._subspace_svd(wide, 5)[0] is not None:
     path = "subspace"
 else:

@@ -287,6 +287,31 @@ def test_sweep_memory_is_bounded():
     assert traced_peak(lambda: transport_plan(X, Y)) <= 2.5 * one
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0], ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_entry_checks_keep_their_errors(value):
+    # the checks read min and max instead of an m x n mask; the errors stay
+    finite = np.isfinite(value)
+    for i in (0, 5, 11):
+        W = np.full((3, 4), 0.5)
+        W.flat[i] = value
+        with pytest.raises(InputError, match="strictly positive" if finite else "W contains non-finite"):
+            TransportPlan(W=W, epsilon=None, iterations=1)
+        if not finite:
+            with pytest.raises(InputError, match="logK contains non-finite entries"):
+                sinkhorn(W)
+        elif value < 0:
+            with pytest.raises(InputError, match="D2 must be nonnegative"):
+                median_bandwidth(W)
+
+
+def test_plan_check_allocates_no_mask():
+    # building a plan on a float64 W allocates less than one byte per entry
+    m, n = 300, 400
+    W = np.full((m, n), 0.5)
+    TransportPlan(W=W, epsilon=None, iterations=1)  # numpy internals load lazily
+    assert traced_peak(lambda: TransportPlan(W=W, epsilon=None, iterations=1)) < m * n
+
+
 def test_sinkhorn_scaling_structure():
     # the plan must factor as alpha_i K_ij beta_j
     m, n = 6, 9
@@ -336,7 +361,7 @@ def test_sinkhorn_underflowing_kernel_raises():
     # exp(-2000) is zero in double precision, so the converged plan cannot
     # be represented with strictly positive entries.
     logK = np.array([[0.0, -2000.0], [-2000.0, 0.0]])
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="underflowed to zero"):
         sinkhorn(logK)
 
 
