@@ -54,6 +54,8 @@ def _apply_threads(threads: int | None):
 def _read_matrix(path: str):
     import numpy as np
 
+    from . import linalg
+
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except OSError:
@@ -62,9 +64,7 @@ def _read_matrix(path: str):
         raise InputError(f"{path} is not a numeric CSV matrix: {exc}")
     if arr.size == 0:
         raise InputError(f"{path} is empty")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{path} contains non-finite values")
-    return arr
+    return linalg.as_matrix(arr, path)
 
 
 def _write_matrix(path: str, arr, fmt=_FLOAT_FMT, header: str = ""):

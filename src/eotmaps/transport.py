@@ -7,18 +7,26 @@ The plan W between clouds X (m points) and Y (n points) minimizes
 over nonnegative matrices whose rows each sum to sqrt(n/m) and whose columns
 each sum to sqrt(m/n) (so the total mass is sqrt(m*n)).  The minimizer
 factorizes as W_ij = alpha_i * K_ij * beta_j with K = exp(-||x_i-y_j||^2 /
-epsilon); ``sinkhorn`` computes the scalings by alternate marginal matching
-in the log domain, which stays stable for small bandwidths.  Each half-sweep
-is one max-stabilized log-sum-exp in a single reused m x n buffer, and the
-stopping residual is read from the duals, so W is built once, at the end.
-From the sixth sweep on, the row dual is Anderson-mixed (Walker & Ni 2011)
-over the last sweeps, which about halves the sweeps of slowly converging
-plans; plans that converge within six sweeps are plain Sinkhorn.
+epsilon); ``sinkhorn`` computes the scalings by alternate marginal matching.
+The first four sweeps run in the log domain, which stays stable for small
+bandwidths: each half-sweep is one max-stabilized log-sum-exp in a single
+reused m x n buffer, five passes over it.  From the fifth on, the sweeps run
+in kernel space (stabilized scaling with dual absorption; Schmitzer 2019,
+SIAM J. Sci. Comput. 41(3)): the current duals (f0, g0) are absorbed into
+the buffer as the scaled kernel exp(logK + f0 + g0), and each half-sweep is
+one einsum matrix-vector sum against exp(dual - dual0).  The duals are
+absorbed again once the row dual moves more than ``_ABSORB_DRIFT`` from f0,
+and a sweep whose sums come out zero or non-finite is redone in the log
+domain.  The stopping residual is read from the duals, so W is built once,
+at the end.  From the sixth sweep on, the row dual is Anderson-mixed (Walker
+& Ni 2011) over the last sweeps, which about halves the sweeps of slowly
+converging plans; plans that converge within four sweeps are plain
+log-domain Sinkhorn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +41,9 @@ from .linalg import as_matrix, check_int, check_real, fits_in_memory
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 _MIX_MEMORY = 5  # residual differences in each Anderson mix
-_MIX_START = 5  # first sweep kept for mixing; sweep 6 mixes the first time
+_MIX_START = 5  # first kernel-space sweep, and the first kept for mixing; sweep 6 mixes
+_ABSORB_DRIFT = 30.0  # absorb the duals again once f moves this far from f0
+_EPS = np.finfo(float).eps
 
 
 def squared_distance_matrix(X, Y) -> np.ndarray:
@@ -108,7 +118,8 @@ class TransportPlan:
 def _logsumexp(v: np.ndarray) -> float:
     """log(sum(exp(v))) for a finite vector, stabilized by its max."""
     mx = v.max()
-    return mx + np.log(np.exp(v - mx).sum())
+    e = v - mx
+    return mx + np.log(np.exp(e, out=e).sum())
 
 
 def _half_sweep(logK, dual, axis, log_target, buf) -> np.ndarray:
@@ -124,6 +135,13 @@ def _half_sweep(logK, dual, axis, log_target, buf) -> np.ndarray:
     return log_target - (mx + np.log(buf.sum(axis=axis, keepdims=True))).ravel()
 
 
+def _scaled_kernel(logK, f, g, buf) -> np.ndarray:
+    """exp(f_i + logK_ij + g_j), written into ``buf``."""
+    np.add(f[:, None], logK, out=buf)
+    np.add(buf, g, out=buf)
+    return np.exp(buf, out=buf)
+
+
 def _anderson_mix(history) -> np.ndarray:
     """Type-II Anderson mix of duals f_i and their images T(f_i), oldest first.
 
@@ -136,6 +154,35 @@ def _anderson_mix(history) -> np.ndarray:
     gram = np.einsum("ik,jk->ij", dR, dR)
     gamma = np.linalg.lstsq(gram, np.einsum("ik,k->i", dR, T[-1] - F[-1]), rcond=None)[0]
     return T[-1] - np.einsum("i,ik->k", gamma, np.diff(T, axis=0))
+
+
+def _kernel_half_sweep(kernel, subscripts, scale, target):
+    """target / einsum(subscripts, kernel, scale), or None unless positive and finite.
+
+    The sum runs in einsum, not BLAS, so the thread count cannot change the bits.
+    """
+    ratio = np.einsum(subscripts, kernel, scale)
+    np.divide(target, ratio, out=ratio)
+    return ratio if ratio.min() > 0 and np.isfinite(ratio.max()) else None  # NaN fails
+
+
+def _kernel_sweep(kernel, f, f0, g0, log_row_target):
+    """(g, f_next) of one sweep from kernel = exp(logK + f0 + g0), or None.
+
+    The column update gives b = exp(g - g0) = col_target / (kernel^T exp(f - f0))
+    directly, so the row update f_next = f0 + log(row_target / (kernel b))
+    takes no second exponential.  None when a sum is zero or non-finite.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # all fail the test
+        b = _kernel_half_sweep(kernel, "ij,i->j", np.exp(f - f0), np.exp(-log_row_target))
+        a = None if b is None else _kernel_half_sweep(kernel, "ij,j->i", b, np.exp(log_row_target))
+    if a is None:
+        return None
+    g = np.log(b, out=b)
+    g += g0
+    f_next = np.log(a, out=a)
+    f_next += f0
+    return g, f_next
 
 
 def sinkhorn(
@@ -159,13 +206,28 @@ def sinkhorn(
     -------
     TransportPlan whose W is built once, from the converged duals.
 
-    Each half-sweep is one max-stabilized log-sum-exp of logK plus a dual,
-    computed in place in a single m x n buffer (rows reduce along axis 1,
-    columns along axis 0 of the same logK).  After the column update the
-    column sums are exact up to rounding, and the relative row violation of
-    the current duals (f, g) is |exp(f - f_next) - 1|, where f_next is the
-    next row update, so the residual is read from the duals and W is built
-    only once, into the same buffer, after convergence.
+    Sweeps 1-4 run each half-sweep as one max-stabilized log-sum-exp of logK
+    plus a dual, computed in place in a single m x n buffer (rows reduce
+    along axis 1, columns along axis 0 of the same logK).  From sweep 5 on,
+    the sweeps run in kernel space: the buffer holds the scaled kernel
+    K~ = exp(logK + f0 + g0) of absorbed duals (f0, g0), and a sweep is two
+    einsum sums, one pass over the buffer each instead of five,
+
+        g      = log_col_target + g0 - log(K~^T exp(f - f0))
+        f_next = log_row_target + f0 - log(K~ exp(g - g0)).
+
+    (f0, g0) are the duals current at sweep 5; they are absorbed again, at
+    the cost of one m x n exponential, whenever f has moved more than
+    ``_ABSORB_DRIFT`` (30) from f0.  When a kernel-space sum comes out zero
+    (K~ underflowed) or non-finite, that sweep is redone with the log-domain
+    half-sweeps, and the next sweep absorbs afresh.  After the column update
+    the column sums are exact up to rounding, and the relative row violation
+    of the current duals (f, g) is |exp(f - f_next) - 1|, where f_next is
+    the next row update, so the residual is read from the duals and W is
+    built only once, into the same buffer, after convergence.  The duals
+    resolve that violation only down to their own rounding, so the residual
+    is at least eps * max|f_next|: duals extrapolated to ~1e14, where the
+    row update rounds back to f itself, never read as converged.
 
     One sweep is the map f -> T(f) = f_next.  From sweep 5 on, each sweep's
     (f, T(f)) joins a history of at most 6, and once it holds two, the next
@@ -185,14 +247,26 @@ def sinkhorn(
     buf = np.empty((m, n))
     g = np.zeros(n)
     f = _half_sweep(logK, g, 1, log_row_target, buf)
+    f0 = None  # the row dual absorbed in buf; None while buf holds no kernel
     history = []  # (f, T(f)) of the last sweeps, oldest first
     last_residual = np.inf
     for sweep in range(1, max_iter + 1):
-        g = _half_sweep(logK, f[:, None], 0, log_col_target, buf)
-        f_next = _half_sweep(logK, g, 1, log_row_target, buf)
+        step = None
+        if sweep >= _MIX_START:
+            if f0 is None or np.abs(f - f0).max() > _ABSORB_DRIFT:
+                f0, g0 = f, g
+                with np.errstate(over="ignore"):  # an overflow fails the sums
+                    _scaled_kernel(logK, f0, g0, buf)
+            step = _kernel_sweep(buf, f, f0, g0, log_row_target)
+        if step is None:
+            f0 = None  # the log-domain half-sweeps overwrite the kernel
+            g = _half_sweep(logK, f[:, None], 0, log_col_target, buf)
+            f_next = _half_sweep(logK, g, 1, log_row_target, buf)
+        else:
+            g, f_next = step
         if not (np.isfinite(f_next).all() and np.isfinite(g).all()):
             raise NumericalError("Sinkhorn scalings became non-finite")
-        residual_rel = np.abs(np.expm1(f - f_next)).max()
+        residual_rel = max(np.abs(np.expm1(f - f_next)).max(), _EPS * np.abs(f_next).max())
         if residual_rel <= tol:
             break
         if residual_rel > last_residual:
@@ -218,9 +292,7 @@ def sinkhorn(
     shift = 0.5 * (_logsumexp(g) - _logsumexp(f))
     f = f + shift
     g = g - shift
-    W = np.add(f[:, None], logK, out=buf)
-    np.add(W, g, out=W)
-    np.exp(W, out=W)
+    W = _scaled_kernel(logK, f, g, buf)
     if W.min() <= 0:
         raise NumericalError(
             "plan entries underflowed to zero; the kernel's dynamic range is too "
@@ -261,7 +333,9 @@ def transport_plan(
             eps = median_bandwidth(D2)
         logK = np.divide(D2, -eps, out=D2)  # in place; the same bits as -D2 / eps
         plan = sinkhorn(logK, tol=tol, max_iter=max_iter, epsilon=eps)
-    return replace(plan, W=plan.W.T) if tall else plan
+    if tall:  # W.T is the transpose of a checked plan: set it without checking again
+        object.__setattr__(plan, "W", plan.W.T)
+    return plan
 
 
 __all__ = [

@@ -272,6 +272,19 @@ def test_embed_input_errors(tmp_path, workdir):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_2(tmp_path, workdir, value):
+    X = (workdir / "X.csv").read_text().splitlines()
+    X[1] = ",".join([value] + X[1].split(",")[1:])
+    (tmp_path / "X.csv").write_text("\n".join(X) + "\n")
+    r = run_cli(
+        "embed", "--in-x", tmp_path / "X.csv", "--in-y", workdir / "Y.csv",
+        "--out-embedding", tmp_path / "e.csv", "--out-spectrum", tmp_path / "s.csv",
+    )
+    assert r.returncode == 2
+    assert f"{tmp_path / 'X.csv'} contains non-finite entries" in r.stderr
+
+
 def test_embed_nonconvergence_exits_3(tmp_path, workdir):
     r = run_cli(
         "embed", "--in-x", workdir / "X.csv", "--in-y", workdir / "Y.csv",

@@ -41,14 +41,22 @@ def marginal_residual(W):
     return max(row, col)
 
 
-MIX_MEMORY = 5  # the mixing constants of transport.sinkhorn
+MIX_MEMORY = 5  # the constants of transport.sinkhorn
 MIX_START = 5
+ABSORB_DRIFT = 30.0
 
 
-def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True):
-    """The straightforward sweep: three m x n exponentials, W rebuilt each time.
+def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True):
+    """The straightforward sweep: W rebuilt each sweep and its sums read.
 
-    One sweep maps the row dual f to T(f) (column update, then row update).
+    One sweep maps the row dual f to T(f) (column update g, then row update).
+    Sweeps before MIX_START take both updates as log-sum-exps.  From
+    MIX_START on they run in kernel space: with K~ = exp(f0 + logK + g0) of
+    duals absorbed at the first such sweep, and again once f is more than
+    ABSORB_DRIFT from f0, b = col_target / (K~^T exp(f - f0)) is exp(g - g0)
+    and T(f) = f0 + log(row_target / (K~ b)).  A sweep whose sums are not
+    positive and finite is taken in the log domain, and the next absorbs
+    afresh.  ``kernel_space=False`` takes every sweep in the log domain.
     From sweep MIX_START on, (f, T(f)) joins a history of the last
     MIX_MEMORY + 1 sweeps, and once it holds two, the next f is their
     type-II Anderson mix; the history is cleared when the marginal residual
@@ -62,12 +70,32 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True):
         mx = M.max(axis=1, keepdims=True)
         return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True))).ravel()
 
+    def kernel_sweep(f, f0, g0):
+        with np.errstate(all="ignore"):
+            K = np.exp(f0[:, None] + logK + g0[None, :])
+            b = np.exp(-log_row) / np.einsum("ij,i->j", K, np.exp(f - f0))
+            a = np.exp(log_row) / np.einsum("ij,j->i", K, b)
+        if not all(v.min() > 0 and np.isfinite(v.max()) for v in (a, b)):
+            return None
+        return g0 + np.log(b), f0 + np.log(a)
+
     m, n = logK.shape
     log_row = 0.5 * (np.log(n) - np.log(m))
     f = log_row - lse_rows(logK)
+    g = f0 = None
     history, last_residual = [], np.inf
     for sweep in range(1, max_iter + 1):
-        g = -log_row - lse_rows(logK.T + f[None, :])
+        step = None
+        if kernel_space and sweep >= MIX_START:
+            if f0 is None or np.abs(f - f0).max() > ABSORB_DRIFT:
+                f0, g0 = f, g
+            step = kernel_sweep(f, f0, g0)
+        if step is None:
+            f0 = None
+            g = -log_row - lse_rows(logK.T + f[None, :])
+            f_next = log_row - lse_rows(logK + g[None, :])
+        else:
+            g, f_next = step
         W = np.exp(f[:, None] + logK + g[None, :])
         residual = max(
             np.abs(W.sum(axis=1) / row_target(m, n) - 1.0).max(),
@@ -75,7 +103,6 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True):
         )
         if residual <= tol:
             break
-        f_next = log_row - lse_rows(logK + g[None, :])
         if residual > last_residual:
             history = []
         last_residual = residual
@@ -203,6 +230,79 @@ def test_transport_plan_matches_oracle_on_swapped_sharp_plan():
     assert sweeps > 10
     assert plan.iterations == sweeps
     np.testing.assert_allclose(plan.W.T, W, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kernel", ["random", "sharp"])
+def test_kernel_space_plan_matches_log_domain_oracle(kernel):
+    if kernel == "random":
+        logK = np.random.default_rng(8160219).normal(size=(40, 60)) * 5.0
+    else:  # the wide log-kernel of the swapped sharp plan above
+        pair = preset("clustering", 90, 40, 20, 4, 1.0)
+        D2 = squared_distance_matrix(pair.Y.values, pair.X.values)
+        logK = -D2 / (median_bandwidth(D2) / 100.0)
+    plan = sinkhorn(logK)
+    W, sweeps = oracle_sinkhorn(logK, kernel_space=False)
+    assert sweeps > MIX_START  # some sweeps ran in kernel space
+    assert plan.iterations == sweeps
+    np.testing.assert_allclose(plan.W, W, rtol=1e-12, atol=0)
+
+
+def two_block_log_kernel(m, n, rows, cols, gap):
+    """0 on the blocks [:rows, :cols] and [rows:, cols:], -gap elsewhere."""
+    logK = np.full((m, n), -gap)
+    logK[:rows, :cols] = 0.0
+    logK[rows:, cols:] = 0.0
+    return logK
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_kernel_takes_the_log_domain_fallback(monkeypatch):
+    # One row must feed four columns through e^-40 couplings, so plain sweeps
+    # move the duals along a fixed direction and the Anderson mix jumps them
+    # by ~1e14: a kernel absorbed there is 0 and inf, its sums are not
+    # positive and finite, and those sweeps are redone in the log domain.
+    logK = two_block_log_kernel(4, 6, 1, 4, 40.0)
+    kernel_sweep = transport._kernel_sweep
+    outcomes = []
+
+    def recorded(*args):
+        step = kernel_sweep(*args)
+        outcomes.append(step is not None)
+        return step
+
+    monkeypatch.setattr(transport, "_kernel_sweep", recorded)
+    plan = sinkhorn(logK)
+    assert outcomes.count(False) > 5 and outcomes.count(True) > 5
+    assert marginal_residual(plan.W) <= 1e-10
+    W_kernel, kernel_sweeps = oracle_sinkhorn(logK)
+    W_log, log_sweeps = oracle_sinkhorn(logK, kernel_space=False)
+    assert plan.iterations == kernel_sweeps == log_sweeps
+    np.testing.assert_allclose(plan.W, W_kernel, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(plan.W, W_log, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m,n,rows,cols,gap", [(5, 7, 2, 5, 40.0), (6, 6, 2, 4, 50.0), (5, 7, 2, 5, 50.0)])
+def test_far_extrapolated_duals_do_not_read_as_converged(m, n, rows, cols, gap):
+    # Anderson steps jump these duals to ~1e14, where one ulp is ~0.03: the
+    # row update rounds back to f itself and the residual read from the
+    # duals would be 0, for a plan whose marginals are off by up to 6%
+    with pytest.raises(ConvergenceError):
+        sinkhorn(two_block_log_kernel(m, n, rows, cols, gap), max_iter=300)
+
+
+def test_tall_plan_is_checked_once(monkeypatch):
+    # the plan sinkhorn checked comes back transposed, not checked again
+    as_matrix = transport.as_matrix
+    names = []
+
+    def recorded(a, name="matrix"):
+        names.append(name)
+        return as_matrix(a, name)
+
+    monkeypatch.setattr(transport, "as_matrix", recorded)
+    plan = transport_plan(RNG.normal(size=(12, 3)), RNG.normal(size=(5, 3)))
+    assert plan.W.shape == (12, 5)
+    assert names.count("W") == 1 and names.count("logK") == 1
 
 
 def test_mixing_converges_in_fewer_sweeps_to_the_plain_plan():
