@@ -38,12 +38,15 @@ class SpectralModel:
     returning an uncertified model: ``s`` is descending with s[0] == 1 and
     the first columns of U and V are the constant vectors, both within 1e-6.
     The signs follow :func:`eotmaps.linalg.truncated_svd`.  U has one row
-    per point of the caller's X and V one per point of Y.
+    per point of the caller's X and V one per point of Y.  ``s_next`` is
+    the value after s[-1] from the same factorization (never above
+    s_{k+1}, up to rounding), or None when k = min(m, n).
     """
 
     s: np.ndarray  # (k,)
     U: np.ndarray  # (|X|, k)
     V: np.ndarray  # (|Y|, k)
+    s_next: float | None = None
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ def spectral_model(plan: TransportPlan, k: int) -> SpectralModel:
     """
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
-    s, U, V = truncated_svd(plan.W, k)
+    s, U, V = triplets = truncated_svd(plan.W, k)
     _certify_trivial_pair(s[0], U[:, 0], V[:, 0])
-    return SpectralModel(s=s, U=U, V=V)
+    return SpectralModel(s=s, U=U, V=V, s_next=triplets.s_next)
 
 
 def _certify_trivial_pair(s1: float, u1: np.ndarray, v1: np.ndarray):
@@ -100,11 +103,13 @@ def _certify_trivial_pair(s1: float, u1: np.ndarray, v1: np.ndarray):
 def triplet_count(q, rank: int) -> int:
     """Triplets :func:`embed_from_model` needs for ``q`` at rank min(m, n), capped at the rank.
 
-    A fixed q needs q + 2, one past its last coordinate for the tie check; "auto" reads 12.
+    A fixed q needs q + 1 triplets plus the next value, which the model's
+    ``s_next`` holds, for the tie check; "auto" reads 12 values exactly.
     """
     if isinstance(q, str) and q != "auto":
         raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-    return min(rank, (_AUTO_WINDOW if isinstance(q, str) else check_int(q, "q", 1, rank - 1)) + 2)
+    fixed = not isinstance(q, str)
+    return check_int(q, "q", 1, rank - 1) + 1 if fixed else min(rank, _AUTO_WINDOW + 2)
 
 
 def select_dimension(s) -> int:
@@ -139,10 +144,12 @@ def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbeddi
     m = |X| and n = |Y| are the row counts of the model's U and V.  ``q`` is
     an integer in [1, min(m, n)-1] or "auto", which picks it with
     :func:`select_dimension` from the model's leading min(m, n, 12) values;
-    a model holding fewer raises DimensionError.  Use this instead of
-    :func:`eot_eigenmaps` when the plan is already solved, or when the model
-    is also needed for other purposes (spectra, several embeddings) and
-    should only be computed once.
+    a model holding fewer raises DimensionError.  A fixed q needs q + 1
+    triplets; the tie check compares s_{q+1} with the value after it (the
+    model's s_{q+2}, else its ``s_next``) and is skipped when there is none.
+    Use this instead of :func:`eot_eigenmaps` when the plan is already
+    solved, or when the model is also needed for other purposes (spectra,
+    several embeddings) and should only be computed once.
     """
     if not isinstance(model, SpectralModel):
         raise InputError("model must be a SpectralModel")
@@ -158,7 +165,8 @@ def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbeddi
     q = check_int(q, "q", 1, rank - 1)
     if model.s.size < q + 1:
         raise DimensionError(f"model holds {model.s.size} triplets, need {q + 1}")
-    if model.s.size >= q + 2 and abs(model.s[q] - model.s[q + 1]) <= _TIE_TOL:
+    s_after = model.s[q + 1] if model.s.size > q + 1 else model.s_next
+    if s_after is not None and abs(model.s[q] - s_after) <= _TIE_TOL:
         warnings.warn(
             f"singular values {q + 1} and {q + 2} coincide within {_TIE_TOL:g}; "
             "the last embedding coordinate is only defined up to rotation",

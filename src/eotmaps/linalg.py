@@ -152,7 +152,7 @@ def _largest_entry_signs(M: np.ndarray) -> np.ndarray:
 
 
 def _subspace_svd(W: np.ndarray, k: int):
-    """Leading k triplets of a wide W by block subspace iteration (or None), and the step count.
+    """Leading k triplets and the next Ritz value of a wide W (or None), and the step count.
 
     Each step maps an orthonormal n x b block Q to P = orth(W Q), then
     W^T P = Q' R, and takes the Ritz triplets from the SVD of the b x b
@@ -162,6 +162,7 @@ def _subspace_svd(W: np.ndarray, k: int):
     predicts the steps left to _STOP_TOL; if those, at two b-column passes
     over W each, would cost more than one r-column pass (W is r x n), the
     loop hands off (None).  The count is the number of W Q products.
+    The (k+1)-th Ritz value is at most s_{k+1} (Cauchy interlacing).
     """
     r, n = W.shape
     b = k + _OVERSAMPLE
@@ -189,7 +190,7 @@ def _subspace_svd(W: np.ndarray, k: int):
         s = s_all[:k]
         U = P @ Us[:, :k]
         Vs = np.ascontiguousarray(Vst[:k].T)
-    return (s, U, Q @ Vs), steps
+    return (s, U, Q @ Vs, s_all[k]), steps
 
 
 def _wide(A: np.ndarray) -> np.ndarray:
@@ -215,7 +216,7 @@ def _small_side_gram(A: np.ndarray, k: int):
 
 
 def _gram_svd(W: np.ndarray, k: int):
-    """Leading k triplets of a wide W from eigh(W W^T), long side W^T u / s, or None.
+    """Leading k triplets and s_{k+1} of a wide W from eigh(W W^T), long side W^T u / s, or None.
 
     W W^T rounds at about eps * s_1^2, so values near sqrt(eps) * s_1 fail the certificate.
     """
@@ -226,7 +227,7 @@ def _gram_svd(W: np.ndarray, k: int):
     if not lam[k - 1] > 0.0:
         return None
     s = np.sqrt(lam[:k])
-    return s, Z[:, :k], WtZ / s
+    return s, Z[:, :k], WtZ / s, np.sqrt(max(lam[k], 0.0))
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -245,9 +246,9 @@ def singular_values(A: np.ndarray) -> np.ndarray:
 
 
 def _dense_svd(W: np.ndarray, k: int):
-    """Leading k triplets of W sliced from one thin dense SVD."""
+    """Leading k triplets and s_{k+1} (None at k = min(m, n)) of W from one thin dense SVD."""
     L, s, Rt = np.linalg.svd(W, full_matrices=False)
-    return s[:k], L[:, :k], Rt[:k].T
+    return s[:k], L[:, :k], Rt[:k].T, s[k] if k < s.size else None
 
 
 def _residual(W: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
@@ -256,6 +257,15 @@ def _residual(W: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray) -> flo
         np.linalg.norm(W @ V - U * s, axis=0).max(),
         np.linalg.norm((U.T @ W).T - V * s, axis=0).max(),
     )
+
+
+class Triplets(tuple):
+    """``(s, U, V)`` from :func:`truncated_svd`; ``s_next`` is the value after s[-1], or None."""
+
+    def __new__(cls, triplets, s_next=None):  # the default lets pickle and copy rebuild it
+        self = super().__new__(cls, triplets)
+        self.s_next = s_next
+        return self
 
 
 def truncated_svd(A, k: int):
@@ -271,6 +281,8 @@ def truncated_svd(A, k: int):
     s : (k,) singular values, descending
     U : (m, k) left singular vectors, orthonormal columns
     V : (n, k) right singular vectors, orthonormal columns
+    .s_next : s_{k+1} from the same factorization (on the subspace path the
+        (k+1)-th Ritz value, never above it up to rounding); None at k = min(m, n)
 
     Every path factors the wide orientation W (A, or A^T when A is tall).
     With r = min(m, n) and 4 * (k + 4) <= r, two iterative paths propose
@@ -298,14 +310,14 @@ def truncated_svd(A, k: int):
     proposals = (lambda: _subspace_svd(W, k)[0], lambda: _gram_svd(W, k)) if iterative else ()
     with fits_in_memory(A.shape):
         for propose in proposals:
-            triplets = propose()
-            if triplets and _residual(W, *triplets) <= _CERTIFICATE_TOL * triplets[0][0]:
+            proposal = propose()
+            if proposal and _residual(W, *proposal[:3]) <= _CERTIFICATE_TOL * proposal[0][0]:
                 break
         else:
-            triplets = _dense_svd(W, k)
-    s, U, V = (np.ascontiguousarray(x) for x in triplets)
+            proposal = _dense_svd(W, k)
+    s, U, V = (np.ascontiguousarray(x) for x in proposal[:3])
     _fix_singular_signs(s, U, V)
 
     if not (np.isfinite(s).all() and np.isfinite(U).all() and np.isfinite(V).all()):
         raise NumericalError("SVD produced non-finite factors")
-    return (s, U, V) if W is A else (s, V, U)
+    return Triplets((s, U, V) if W is A else (s, V, U), proposal[3])

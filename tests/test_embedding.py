@@ -107,7 +107,7 @@ def test_trivial_pair_certificate_accepts_either_joint_sign():
 
 
 def test_triplet_count():
-    assert embedding.triplet_count(3, 100) == 5
+    assert embedding.triplet_count(3, 100) == 4
     assert embedding.triplet_count(3, 4) == 4
     assert embedding.triplet_count("auto", 100) == 12
     assert embedding.triplet_count("auto", 8) == 8
@@ -115,6 +115,19 @@ def test_triplet_count():
         embedding.triplet_count(4, 4)
     with pytest.raises(InputError, match='"auto"'):
         embedding.triplet_count("bogus", 100)
+
+
+def test_eot_eigenmaps_factors_q_plus_one_triplets(pair, monkeypatch):
+    X, Y, _ = pair
+    original, ks = embedding.truncated_svd, []
+
+    def spy(A, k):
+        ks.append(k)
+        return original(A, k)
+
+    monkeypatch.setattr(embedding, "truncated_svd", spy)
+    eot_eigenmaps(X, Y, q=3)
+    assert ks == [4]
 
 
 def test_spectral_model_k_validation(pair):
@@ -272,6 +285,35 @@ def test_embedding_subspace_path_tied_values_warn(svd_paths):
     with pytest.warns(RuntimeWarning, match="rotation"):
         eot_eigenmaps(X, X, q=1)
     assert svd_paths == ["subspace"]
+
+
+@pytest.fixture(scope="module")
+def circle_plan():
+    """40 evenly spaced points on a circle: s_2 = s_3, the first Fourier pair."""
+    theta = 2.0 * np.pi * np.arange(40) / 40
+    X = np.column_stack([np.cos(theta), np.sin(theta)])
+    return transport_plan(X, X)
+
+
+def test_q_plus_one_triplet_model_warns_on_a_tie(circle_plan, svd_paths):
+    # the tie is between s_2 and s_next, the Ritz value the subspace path
+    # hands back beside its two triplets
+    model = spectral_model(circle_plan, k=2)
+    assert svd_paths == ["subspace"] and model.s.size == 2
+    s_true = np.linalg.svd(circle_plan.W, compute_uv=False)
+    assert abs(model.s_next - s_true[2]) <= 1e-12
+    with pytest.warns(RuntimeWarning, match="rotation"):
+        embed_from_model(model, q=1, t=0)
+
+
+def test_last_coordinate_has_no_tie_check():
+    # q = rank - 1 uses every triplet, so there is no next value to tie with
+    X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    model = spectral_model(transport_plan(X, X, epsilon=2.0), k=4)
+    assert model.s_next is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert embed_from_model(model, q=3, t=0).q == 3
 
 
 def test_embed_from_model_matches_and_validates(pair):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,26 @@ def test_svd_transpose_mirrors_the_iterative_paths(plans, svd_paths, name, path)
     for a, b in zip((s, V, U), truncated_svd(W.T, 5)):
         np.testing.assert_array_equal(a, b)
     assert svd_paths == [path, path]
+
+
+@pytest.mark.parametrize(
+    "name,k,path", [("wide", 5, "subspace"), ("flat", 5, "gram"), ("wide", 90, "dense")]
+)
+def test_svd_s_next_is_the_following_value(plans, svd_paths, name, k, path):
+    W = plans[name]
+    result = truncated_svd(W, k)
+    assert svd_paths == [path]
+    assert truncated_svd(W.T, k).s_next == result.s_next
+    assert pickle.loads(pickle.dumps(result)).s_next == result.s_next
+    s_true = np.linalg.svd(W, compute_uv=False)
+    if path == "dense":  # the SVD the triplets are sliced from
+        assert result.s_next == np.linalg.svd(W, full_matrices=False)[1][k]
+        assert truncated_svd(W, min(W.shape)).s_next is None
+    elif path == "gram":  # W W^T rounds at about eps * s_1^2
+        eps = np.finfo(float).eps
+        assert abs(result.s_next - s_true[k]) <= 4 * eps * s_true[0] ** 2 / s_true[k]
+    else:  # a Ritz value of the block, below s_{k+1} by interlacing
+        assert result.s_next <= s_true[k] + 1e-15 * s_true[0]
 
 
 def test_svd_gram_certificate_failure_goes_dense(svd_paths):
