@@ -8,20 +8,19 @@ over nonnegative matrices whose rows each sum to sqrt(n/m) and whose columns
 each sum to sqrt(m/n) (so the total mass is sqrt(m*n)).  The minimizer
 factorizes as W_ij = alpha_i * K_ij * beta_j with K = exp(-||x_i-y_j||^2 /
 epsilon); ``sinkhorn`` computes the scalings by alternate marginal matching.
-The first four sweeps run in the log domain, which stays stable for small
-bandwidths: each half-sweep is one max-stabilized log-sum-exp in a single
-reused m x n buffer, five passes over it.  From the fifth on, the sweeps run
-in kernel space (stabilized scaling with dual absorption; Schmitzer 2019,
-SIAM J. Sci. Comput. 41(3)): the current duals (f0, g0) are absorbed into
-the buffer as the scaled kernel exp(logK + f0 + g0), and each half-sweep is
-one einsum matrix-vector sum against exp(dual - dual0).  The duals are
-absorbed again once the row dual moves more than ``_ABSORB_DRIFT`` from f0,
-and a sweep whose sums come out zero or non-finite is redone in the log
-domain.  The stopping residual is read from the duals, so W is built once,
-at the end.  From the sixth sweep on, the row dual is Anderson-mixed (Walker
-& Ni 2011) over the last sweeps, which about halves the sweeps of slowly
-converging plans; plans that converge within four sweeps are plain
-log-domain Sinkhorn.
+The first row update is one max-stabilized log-sum-exp, which stays stable
+for small bandwidths, in a single reused m x n buffer.  Every sweep after it
+runs in kernel space (stabilized scaling with dual absorption; Schmitzer
+2019, SIAM J. Sci. Comput. 41(3)): the current duals (f0, g0) are absorbed
+into the buffer as the scaled kernel exp(logK + f0 + g0), and each
+half-sweep is one einsum matrix-vector sum against exp(dual - dual0).  The
+duals are absorbed again once the row dual moves more than
+``_ABSORB_DRIFT`` from f0, and a sweep whose sums come out zero or
+non-finite is redone as two log-domain half-sweeps.  The stopping residual
+is read from the duals, so W is built once, at the end.  From the sixth
+sweep on, the row dual is Anderson-mixed (Walker & Ni 2011) over the last
+sweeps, which about halves the sweeps of slowly converging plans; plans that
+converge within six sweeps are never mixed.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .linalg import as_matrix, check_int, check_real, fits_in_memory
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 _MIX_MEMORY = 5  # residual differences in each Anderson mix
-_MIX_START = 5  # first kernel-space sweep, and the first kept for mixing; sweep 6 mixes
+_MIX_START = 5  # first sweep kept for Anderson mixing; sweep 6 is the first to mix
 _ABSORB_DRIFT = 30.0  # absorb the duals again once f moves this far from f0
 _EPS = np.finfo(float).eps
 
@@ -98,11 +97,13 @@ class TransportPlan:
     epsilon : bandwidth used to build the kernel, or None when the kernel
         was supplied directly
     iterations : number of full sweeps performed
+    residuals : relative marginal violation after each sweep; () if built directly
     """
 
     W: np.ndarray
     epsilon: float | None
     iterations: int
+    residuals: tuple[float, ...] = ()
 
     def __post_init__(self):
         W = as_matrix(self.W, "W")
@@ -206,28 +207,29 @@ def sinkhorn(
     -------
     TransportPlan whose W is built once, from the converged duals.
 
-    Sweeps 1-4 run each half-sweep as one max-stabilized log-sum-exp of logK
-    plus a dual, computed in place in a single m x n buffer (rows reduce
-    along axis 1, columns along axis 0 of the same logK).  From sweep 5 on,
-    the sweeps run in kernel space: the buffer holds the scaled kernel
+    The first row update, against g = 0, is one max-stabilized log-sum-exp
+    of logK, computed in place in a single m x n buffer.  Every sweep then
+    runs in kernel space: the buffer holds the scaled kernel
     K~ = exp(logK + f0 + g0) of absorbed duals (f0, g0), and a sweep is two
     einsum sums, one pass over the buffer each instead of five,
 
         g      = log_col_target + g0 - log(K~^T exp(f - f0))
         f_next = log_row_target + f0 - log(K~ exp(g - g0)).
 
-    (f0, g0) are the duals current at sweep 5; they are absorbed again, at
-    the cost of one m x n exponential, whenever f has moved more than
-    ``_ABSORB_DRIFT`` (30) from f0.  When a kernel-space sum comes out zero
-    (K~ underflowed) or non-finite, that sweep is redone with the log-domain
-    half-sweeps, and the next sweep absorbs afresh.  After the column update
-    the column sums are exact up to rounding, and the relative row violation
-    of the current duals (f, g) is |exp(f - f_next) - 1|, where f_next is
-    the next row update, so the residual is read from the duals and W is
-    built only once, into the same buffer, after convergence.  The duals
-    resolve that violation only down to their own rounding, so the residual
-    is at least eps * max|f_next|: duals extrapolated to ~1e14, where the
-    row update rounds back to f itself, never read as converged.
+    (f0, g0) start as that row update's f and g = 0, and are absorbed
+    again, at the cost of one m x n exponential, whenever f has moved more
+    than ``_ABSORB_DRIFT`` (30) from f0.  When a kernel-space ratio comes
+    out zero or non-finite (a sum underflowed or overflowed), that sweep is
+    redone with log-domain half-sweeps (rows reduce along axis 1, columns
+    along axis 0 of the same logK), and the next sweep absorbs afresh.
+    After the column update the column sums are exact up to rounding, and
+    the relative row violation of the current duals (f, g) is
+    |exp(f - f_next) - 1|, where f_next is the next row update, so the
+    residual is read from the duals, kept in ``residuals``, and W is built
+    only once, into the same buffer, after convergence.  The duals resolve
+    that violation only down to their own rounding, so the residual is at
+    least eps * max|f_next|: duals extrapolated to ~1e14, where the row
+    update rounds back to f itself, never read as converged.
 
     One sweep is the map f -> T(f) = f_next.  From sweep 5 on, each sweep's
     (f, T(f)) joins a history of at most 6, and once it holds two, the next
@@ -249,15 +251,13 @@ def sinkhorn(
     f = _half_sweep(logK, g, 1, log_row_target, buf)
     f0 = None  # the row dual absorbed in buf; None while buf holds no kernel
     history = []  # (f, T(f)) of the last sweeps, oldest first
-    last_residual = np.inf
+    residuals = []
     for sweep in range(1, max_iter + 1):
-        step = None
-        if sweep >= _MIX_START:
-            if f0 is None or np.abs(f - f0).max() > _ABSORB_DRIFT:
-                f0, g0 = f, g
-                with np.errstate(over="ignore"):  # an overflow fails the sums
-                    _scaled_kernel(logK, f0, g0, buf)
-            step = _kernel_sweep(buf, f, f0, g0, log_row_target)
+        if f0 is None or np.abs(f - f0).max() > _ABSORB_DRIFT:
+            f0, g0 = f, g
+            with np.errstate(over="ignore"):  # an overflow fails the sums
+                _scaled_kernel(logK, f0, g0, buf)
+        step = _kernel_sweep(buf, f, f0, g0, log_row_target)
         if step is None:
             f0 = None  # the log-domain half-sweeps overwrite the kernel
             g = _half_sweep(logK, f[:, None], 0, log_col_target, buf)
@@ -267,11 +267,11 @@ def sinkhorn(
         if not (np.isfinite(f_next).all() and np.isfinite(g).all()):
             raise NumericalError("Sinkhorn scalings became non-finite")
         residual_rel = max(np.abs(np.expm1(f - f_next)).max(), _EPS * np.abs(f_next).max())
+        residuals.append(float(residual_rel))
         if residual_rel <= tol:
             break
-        if residual_rel > last_residual:
+        if len(residuals) > 1 and residual_rel > residuals[-2]:
             history = []  # the last step made things worse: restart plain
-        last_residual = residual_rel
         if sweep >= _MIX_START:
             history = history[-_MIX_MEMORY:] + [(f, f_next)]
         f = f_next
@@ -283,8 +283,9 @@ def sinkhorn(
         raise ConvergenceError(
             f"Sinkhorn did not reach tol={tol:g} in {max_iter} sweeps "
             f"(residual {residual_rel:.3e})",
-            residual=float(residual_rel),
+            residual=residuals[-1],
         )
+    f0 = g0 = step = None  # release the duals and sums before W takes the buffer
     # Shift the duals by +/- the same constant so sum(exp(f)) == sum(exp(g)).
     # W is unchanged in exact arithmetic but not in rounding: built from the
     # unshifted duals, about half its entries move by an ulp, and the
@@ -298,7 +299,7 @@ def sinkhorn(
             "plan entries underflowed to zero; the kernel's dynamic range is too "
             "large for a dense strictly-positive plan"
         )
-    return TransportPlan(W=W, epsilon=epsilon, iterations=sweep)
+    return TransportPlan(W=W, epsilon=epsilon, iterations=sweep, residuals=tuple(residuals))
 
 
 def transport_plan(

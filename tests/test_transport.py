@@ -50,13 +50,14 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
     """The straightforward sweep: W rebuilt each sweep and its sums read.
 
     One sweep maps the row dual f to T(f) (column update g, then row update).
-    Sweeps before MIX_START take both updates as log-sum-exps.  From
-    MIX_START on they run in kernel space: with K~ = exp(f0 + logK + g0) of
-    duals absorbed at the first such sweep, and again once f is more than
-    ABSORB_DRIFT from f0, b = col_target / (K~^T exp(f - f0)) is exp(g - g0)
-    and T(f) = f0 + log(row_target / (K~ b)).  A sweep whose sums are not
-    positive and finite is taken in the log domain, and the next absorbs
-    afresh.  ``kernel_space=False`` takes every sweep in the log domain.
+    The first f is one log-sum-exp row update against g = 0, and every
+    sweep runs in kernel space: with K~ = exp(f0 + logK + g0) of duals
+    absorbed at the first sweep, and again once f is more than ABSORB_DRIFT
+    from f0, b = col_target / (K~^T exp(f - f0)) is exp(g - g0) and
+    T(f) = f0 + log(row_target / (K~ b)).  A sweep whose sums are not
+    positive and finite takes both updates as log-sum-exps, and the next
+    absorbs afresh.  ``kernel_space=False`` takes every sweep in the log
+    domain.
     From sweep MIX_START on, (f, T(f)) joins a history of the last
     MIX_MEMORY + 1 sweeps, and once it holds two, the next f is their
     type-II Anderson mix; the history is cleared when the marginal residual
@@ -82,11 +83,11 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
     m, n = logK.shape
     log_row = 0.5 * (np.log(n) - np.log(m))
     f = log_row - lse_rows(logK)
-    g = f0 = None
+    g, f0 = np.zeros(n), None
     history, last_residual = [], np.inf
     for sweep in range(1, max_iter + 1):
         step = None
-        if kernel_space and sweep >= MIX_START:
+        if kernel_space:
             if f0 is None or np.abs(f - f0).max() > ABSORB_DRIFT:
                 f0, g0 = f, g
             step = kernel_sweep(f, f0, g0)
@@ -242,7 +243,7 @@ def test_kernel_space_plan_matches_log_domain_oracle(kernel):
         logK = -D2 / (median_bandwidth(D2) / 100.0)
     plan = sinkhorn(logK)
     W, sweeps = oracle_sinkhorn(logK, kernel_space=False)
-    assert sweeps > MIX_START  # some sweeps ran in kernel space
+    assert sweeps > MIX_START  # some sweeps were Anderson-mixed
     assert plan.iterations == sweeps
     np.testing.assert_allclose(plan.W, W, rtol=1e-12, atol=0)
 
@@ -320,15 +321,55 @@ def test_mixing_converges_in_fewer_sweeps_to_the_plain_plan():
     assert marginal_residual(plan.W) <= 1e-10
 
 
-def test_fast_kernel_plan_is_plain_sinkhorn_bit_for_bit(monkeypatch):
+def setting1_log_kernel():
     pair = preset("setting1", 200, 200, 50, 0, 8)
-    X, Y = pair.X.values, pair.Y.values
-    plan = transport_plan(X, Y)
+    D2 = squared_distance_matrix(pair.X.values, pair.Y.values)
+    return -D2 / median_bandwidth(D2)
+
+
+def test_fast_kernel_plan_is_unmixed_bit_for_bit(monkeypatch):
+    # a plan that stops within four sweeps runs in kernel space but is never mixed
+    logK = setting1_log_kernel()
+    plan = sinkhorn(logK)
     assert plan.iterations <= 4
     monkeypatch.setattr(transport, "_MIX_START", 10**9)  # never mix
-    plain = transport_plan(X, Y)
+    plain = sinkhorn(logK)
     assert plain.iterations == plan.iterations
     assert np.array_equal(plan.W, plain.W)
+
+
+def test_fast_kernel_plan_takes_one_log_domain_half_sweep(monkeypatch):
+    # only the first row update is a log-sum-exp; every sweep runs in kernel space
+    logK = setting1_log_kernel()
+    half_sweep = transport._half_sweep
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[2])
+        return half_sweep(*args)
+
+    monkeypatch.setattr(transport, "_half_sweep", recorded)
+    plan = sinkhorn(logK)
+    assert calls == [1]
+    W, sweeps = oracle_sinkhorn(logK, kernel_space=False)
+    assert plan.iterations == sweeps
+    np.testing.assert_allclose(plan.W, W, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_columns_keep_accurate_marginals():
+    # At the first sweep g0 = 0, so columns 690-750 below the rest start in
+    # or below the subnormal range of the absorbed kernel, where a nonzero
+    # sum carries few digits.  Such a sum, and a zero one, must send the
+    # sweep to the log domain (the reciprocal of a subnormal sum overflows)
+    # rather than put its rounding into the column dual.
+    rng = np.random.default_rng(20261019)
+    for _ in range(60):
+        logK = rng.normal(size=(40, 120))
+        cols = rng.choice(120, size=rng.integers(1, 4), replace=False)
+        logK[:, cols] -= rng.uniform(690.0, 750.0, size=len(cols))
+        plan = sinkhorn(logK)
+        assert marginal_residual(plan.W) <= 1e-10
 
 
 _CHILD = """
@@ -422,6 +463,26 @@ def test_sinkhorn_scaling_structure():
     f = ratio[:, 0]
     g = ratio[0] - ratio[0, 0]
     np.testing.assert_allclose(ratio, f[:, None] + g[None, :], atol=1e-9)
+
+
+def test_plan_records_the_residual_of_each_sweep():
+    logK = RNG.normal(size=(40, 60)) * 5.0
+    tol = 1e-10
+    plan = sinkhorn(logK, tol=tol)
+    assert len(plan.residuals) == plan.iterations > MIX_START
+    assert all(isinstance(r, float) for r in plan.residuals)
+    assert plan.residuals[-1] <= tol < min(plan.residuals[:-1])
+    # the tall path hands back the same record
+    X, Y = RNG.normal(size=(12, 3)), RNG.normal(size=(5, 3))
+    tall, wide = transport_plan(X, Y), transport_plan(Y, X)
+    assert tall.residuals == wide.residuals and len(tall.residuals) == tall.iterations
+    # a plan built directly records no sweeps
+    assert TransportPlan(W=np.ones((2, 2)), epsilon=None, iterations=1).residuals == ()
+    # a run cut after three sweeps computes the same three residuals and
+    # raises with the last
+    with pytest.raises(ConvergenceError) as exc:
+        sinkhorn(logK, tol=tol, max_iter=3)
+    assert exc.value.residual == plan.residuals[2]
 
 
 def test_sinkhorn_convergence_error_carries_residual():
