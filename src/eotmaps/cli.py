@@ -74,13 +74,10 @@ def _write_matrix(path: str, arr, fmt=_FLOAT_FMT, header: str = ""):
 
 
 def _read_labels(path: str):
-    import numpy as np
+    from . import metrics
 
-    arr = _read_matrix(path)
-    flat = arr.ravel()
-    if not np.all(flat == np.round(flat)):
-        raise InputError(f"{path} must contain integer labels")
-    return flat.astype(np.int64)
+    flat = _read_matrix(path).ravel()
+    return metrics._validated_labels(flat, flat.size, f"labels in {path}")
 
 
 def _read_embedding(path: str):
@@ -176,9 +173,11 @@ def cmd_embed(args) -> int:
         linalg.check_int(q, "q", 1)  # the upper bound needs the plan's shape
     linalg.check_int(args.t, "t", 0)
     plan = _plan(args)
-    k = embedding.triplet_count(q, min(plan.shape))
-    s = linalg.singular_values(plan.W)
-    emb = embedding.embed_from_model(embedding.spectral_model(plan, k=k), q=q, t=args.t)
+    # the model first: an unconverged plan fails here, before the full spectrum,
+    # and its leading q + 1 vectors are the block the spectrum deflates
+    model = embedding.spectral_model(plan, k=embedding.triplet_count(q, min(plan.shape)))
+    emb = embedding.embed_from_model(model, q=q, t=args.t)
+    s = linalg.singular_values(plan.W, block=(model.U[:, : emb.q + 1], model.V[:, : emb.q + 1]))
     m, n = plan.shape
     table = np.c_[np.repeat([0, 1], (m, n)), np.r_[:m, :n], np.r_[emb.Xt, emb.Yt]]
     header = "dataset,point_index," + ",".join(f"coord_{i}" for i in range(1, emb.q + 1))

@@ -49,6 +49,16 @@ _CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 an iterative proposal must 
 # QR first from N >= 1.2 r: at r = 1000, 1 BLAS thread, it took 1.12x the plain
 # SVD's time at N = r, 1.00x at 1.1 r, 0.93x at 1.2 r and 0.70x at 5 r.
 _QR_FIRST_ASPECT = 1.2
+# Deflated spectrum: subspace steps that refine the block, and the bound, in
+# units of eps * s_1, that its residual and the deflated values' error must meet.
+_REFINE_STEPS = 2
+_DEFLATION_TOL = 4.0
+# s_k must be at least this multiple of s_{k+1}: the deflation then shrinks the
+# Gram matrix's scale by 4 or more, and a flat block goes to QR first.
+_DEFLATION_GAP = 2.0
+# Power steps behind rho <= s_{k+1}^2, against which checks (b) and (c) are
+# tried before the Gram product: after 3, rho read 0.66-1.0 s_{k+1}^2 on test and CLI plans.
+_POWER_STEPS = 3
 
 
 def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -230,19 +240,96 @@ def _gram_svd(W: np.ndarray, k: int):
     return s, Z[:, :k], WtZ / s, np.sqrt(max(lam[k], 0.0))
 
 
-def singular_values(A: np.ndarray) -> np.ndarray:
+def singular_values(A: np.ndarray, block=None) -> np.ndarray:
     """All singular values of A's wide orientation W (r x N), descending.
 
-    From N >= 1.2 r they are those of R from a QR of W^T (Chan 1982): LAPACK
-    does that itself only from N >= 11/6 r.  Below, one values-only SVD of W.
-    Within a few eps * s_1 of ``np.linalg.svd(A, compute_uv=False)``; for a
-    non-square A, bitwise equal to ``singular_values(A.T)``.
+    ``block`` is an optional pair (U, V) of A's leading k singular vectors,
+    U with A's rows and V with its columns (a SpectralModel's, say); only the
+    short side, W's left vectors, is read.  With a block and 0 < k < r, the
+    deflated path runs: two subspace steps refine the block against W, its
+    k values come from the SVD of P^T W, and the rest are the square roots
+    of the r - k largest eigenvalues of W' W'^T, where W' = (I - P P^T) W
+    (Golub & Van Loan 2013, section 8.6; Saad 2011, ch. 4).  The Gram
+    matrix then rounds at eps * s_{k+1}^2, not eps * s_1^2.  Its values are
+    kept only when three checks pass: (a) the refined block's two-sided
+    residual is at most 4 eps * s_1; (b) the bound eps * s_{k+1}^2 / s_r on
+    the deflated values' error is at most 4 eps * s_1; (c) s_k >= 2 s_{k+1}.
+    (b) and (c) are first tried against rho <= s_{k+1}^2 from three power
+    steps on W', (b) by a Cholesky factorization of the leading half of
+    W' W'^T - tau I with P's directions lifted, so a plan shown to fail
+    them skips the Gram product and eigvalsh.
+
+    Without a block, or when a check fails, QR first: from N >= 1.2 r the
+    values are those of R from a QR of W^T (Chan 1982), which LAPACK does
+    itself only from N >= 11/6 r; below, one values-only SVD of W.  A
+    failed check leaves exactly the bits of a call without a block.  Either
+    path is within a few eps * s_1 of ``np.linalg.svd(A, compute_uv=False)``:
+    at most 2 on the CLI's 1500 x 2000 plans, where a gap of 25 is
+    deflated; a flat spectrum, where nothing would be, fails (c).  For a
+    non-square A the result is bitwise equal to ``singular_values(A.T)``
+    with the block's U and V exchanged.  Running out of memory raises
+    InputError.
     """
     W = _wide(A)
     with fits_in_memory(A.shape):
+        if block is not None:
+            s = _deflated_values(W, np.asarray(block[0] if W is A else block[1], dtype=float))
+            if s is not None:
+                return s
         if W.shape[1] >= _QR_FIRST_ASPECT * W.shape[0]:
             W = np.linalg.qr(W.T, mode="r")
         return np.linalg.svd(W, compute_uv=False)
+
+
+def _deflated_values(W: np.ndarray, P: np.ndarray):
+    """All singular values of a wide W from its leading short-side block P, or None.
+
+    None when P has no column, or all r of them, or when a check of
+    :func:`singular_values` fails.
+    """
+    if P.ndim != 2 or P.shape[0] != W.shape[0]:
+        raise InputError(f"the block's short-side vectors must form a {W.shape[0]} x k matrix, "
+                         f"got shape {P.shape}")
+    r, k = P.shape
+    if not 0 < k < r:
+        return None
+    for _ in range(_REFINE_STEPS):
+        P = np.linalg.qr(W @ np.linalg.qr((P.T @ W).T)[0])[0]
+    B = P.T @ W
+    Us, s, Vt = np.linalg.svd(B, full_matrices=False)
+    eps = np.finfo(float).eps
+    tol = _DEFLATION_TOL * eps * s[0]
+    if not _residual(W, s, P @ Us, Vt.T) <= tol:  # (a)
+        return None
+    deflated = P @ B
+    np.subtract(W, deflated, out=deflated)
+    x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(r)
+    for _ in range(_POWER_STEPS):
+        x = deflated @ (deflated.T @ x)
+        x /= np.linalg.norm(x) or 1.0  # x = 0 when W' is, or underflows: rho = 0
+    rho = np.linalg.norm(deflated.T @ x) ** 2 / (x @ x or 1.0)  # a Rayleigh quotient: <= s_{k+1}^2
+    if s[-1] < _DEFLATION_GAP * np.sqrt(rho):  # (c) must fail
+        return None
+    # the leading half of W' W'^T + rho P P^T - (eps * rho / tol)^2 I, P's null
+    # directions lifted: positive definite whenever s_r > eps * rho / tol, which
+    # (b) implies (at rho = 0, never); the half costs a quarter of the Gram
+    # product and of its memory
+    head, lift = deflated[: (r + 1) // 2], P[: (r + 1) // 2]
+    lifted = lift @ lift.T
+    lifted *= rho
+    lifted += head @ head.T
+    lifted.flat[:: len(head) + 1] -= (eps * rho / tol) ** 2
+    try:
+        np.linalg.cholesky(lifted)
+    except np.linalg.LinAlgError:
+        return None
+    del lifted
+    G = deflated @ deflated.T
+    del deflated
+    tail = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[: k - 1 : -1], 0.0))
+    if not (eps * tail[0] ** 2 <= tol * tail[-1] and s[-1] >= _DEFLATION_GAP * tail[0]):  # (b), (c)
+        return None
+    return np.concatenate([s, tail])
 
 
 def _dense_svd(W: np.ndarray, k: int):

@@ -24,18 +24,26 @@ DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 200  # Lloyd steps per restart
+_INT64_END = 2.0**63  # integer-valued float labels must lie in [-_INT64_END, _INT64_END)
 
 
-def _validated_labels(labels, count: int) -> np.ndarray:
+def _validated_labels(labels, count: int, name: str = "labels") -> np.ndarray:
+    """``labels`` as an integer vector of length ``count``, else InputError.
+
+    Integer-valued floats become int64; one outside [-2^63, 2^63) raises,
+    because ``astype`` would turn every such value into -2^63 and merge them.
+    """
     lab = np.asarray(labels)
     if lab.shape != (count,):
-        raise InputError(f"labels must be a vector of length {count}, got shape {lab.shape}")
-    if not np.issubdtype(lab.dtype, np.integer):
-        if np.issubdtype(lab.dtype, np.floating) and np.all(lab == np.round(lab)):
-            lab = lab.astype(int)
-        else:
-            raise InputError("labels must be integers")
-    return lab
+        raise InputError(f"{name} must be a vector of length {count}, got shape {lab.shape}")
+    if np.issubdtype(lab.dtype, np.integer):
+        return lab
+    if not (np.issubdtype(lab.dtype, np.floating) and np.all(lab == np.round(lab))):
+        raise InputError(f"{name} must be integers")
+    if lab.size and not (-_INT64_END <= lab.min() and lab.max() < _INT64_END):  # inf included
+        bad = lab.min() if lab.min() < -_INT64_END else lab.max()
+        raise InputError(f"{name} must lie in the int64 range [-2^63, 2^63), got {bad:g}")
+    return lab.astype(np.int64)
 
 
 def _neighbor_balls(P: np.ndarray, k: int):

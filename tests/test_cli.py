@@ -431,9 +431,12 @@ def test_output_files_text(tmp_path, workdir, monkeypatch):
         Yt=np.array([[2.0, -1 / 3], [1.5, 0.0], [-7.0, 1e-300]]),
         q=2, t=0,
     )
+    model = SimpleNamespace(U=np.zeros((2, 4)), V=np.zeros((3, 4)))
+    blocks = []
     monkeypatch.setattr(transport, "transport_plan", lambda X, Y, **kwargs: plan)
-    monkeypatch.setattr(linalg, "singular_values", lambda W: np.array([1.0, 1 / 3, 5e-324, -0.0]))
-    monkeypatch.setattr(embedding, "spectral_model", lambda plan, k: None)
+    monkeypatch.setattr(linalg, "singular_values",
+                        lambda W, block: blocks.append(block) or np.array([1.0, 1 / 3, 5e-324, -0.0]))
+    monkeypatch.setattr(embedding, "spectral_model", lambda plan, k: model)
     monkeypatch.setattr(embedding, "embed_from_model", lambda model, q, t: emb)
     assert cli.main([
         "embed", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
@@ -450,6 +453,57 @@ def test_output_files_text(tmp_path, workdir, monkeypatch):
     assert (tmp_path / "s.csv").read_text() == (
         "k,s\n1,1\n2,0.33333333333333331\n3,4.9406564584124654e-324\n4,-0\n"
     )
+    # the spectrum deflates the model's leading q + 1 = 3 vectors
+    assert [(U.shape, V.shape) for U, V in blocks] == [((2, 3), (3, 3))]
+
+
+def test_embed_unconverged_plan_exits_3_before_the_spectrum(tmp_path, workdir, monkeypatch, capsys):
+    import eotmaps.linalg as linalg
+    import eotmaps.transport as transport
+    from eotmaps import TransportPlan, cli
+
+    def unconverged(X, Y, **kwargs):
+        W = np.random.default_rng(3).uniform(0.5, 1.5, size=(len(X), len(Y)))
+        return TransportPlan(W=W, epsilon=1.0, iterations=1)
+
+    def spectrum(*args, **kwargs):
+        raise AssertionError("singular_values reached")
+
+    monkeypatch.setattr(transport, "transport_plan", unconverged)
+    monkeypatch.setattr(linalg, "singular_values", spectrum)
+    code = cli.main([
+        "embed", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"),
+        "--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err and "leading singular value" in err
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_deflated_spectrum_out_of_memory_exits_2(tmp_path, workdir, monkeypatch, capsys):
+    import eotmaps.linalg as linalg
+    from eotmaps import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    # the 8 x 10 plan's q + 1 = 3 leading vectors clear every check before
+    # eigvalsh with room (residual 1.2 eps * s_1, gap s_3 / s_4 = 7.6), so the
+    # spectrum reaches the deflated Gram matrix's eigvalsh
+    deflations = []
+    original = linalg._deflated_values
+    monkeypatch.setattr(linalg, "_deflated_values", lambda W, P: deflations.append(P.shape) or original(W, P))
+    monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
+    code = cli.main([
+        "embed", "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv"), "--q", "2",
+        "--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert deflations == [(8, 3)]
+    assert code == 2
+    assert "8 x 10 matrix does not fit in memory" in err and "MiB" in err
+    assert "Traceback" not in err
 
 
 def test_distances_unconverged_plan_exits_3(tmp_path, workdir, monkeypatch, capsys):
@@ -540,6 +594,19 @@ def test_evaluate_input_errors(workdir, tmp_path):
     bad.write_text("left,right\n1,2\n")
     r = run_cli("evaluate", "--embedding", bad, "--metric", "db", "--labels", short)
     assert r.returncode == 2 and "header" in r.stderr
+
+
+@pytest.mark.parametrize("first,message", [("0.5", "must be integers"), ("1e30", "must lie in the int64 range")])
+def test_evaluate_rejects_labels_it_cannot_hold(workdir, tmp_path, first, message):
+    # 1e30 and 2e30 used to become -2^63 both, and rand scored them as one class
+    labels = tmp_path / "labels.txt"
+    lines = (workdir / "labels.txt").read_text().splitlines()
+    labels.write_text("\n".join([first, "2e30", *lines[2:]]) + "\n")
+    r = run_cli(
+        "evaluate", "--embedding", workdir / "emb.csv", "--metric", "rand", "--labels", labels,
+    )
+    assert r.returncode == 2
+    assert f"labels in {labels} {message}" in r.stderr
 
 
 def test_distances_roundtrip_and_values(workdir, tmp_path):

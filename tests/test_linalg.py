@@ -14,6 +14,7 @@ from eotmaps import (
     InputError,
     median_bandwidth,
     preset,
+    select_dimension,
     squared_distance_matrix,
     transport_plan,
     truncated_svd,
@@ -333,6 +334,159 @@ def test_singular_values_qr_memory_error_names_the_size(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", exhausted)
     with pytest.raises(InputError, match=r"40 x 100 matrix does not fit in memory.*MiB"):
         linalg.singular_values(np.ones((40, 100)))
+
+
+def _auto_block(A):
+    """The block the CLI passes for q="auto": the leading q + 1 of 12 triplets."""
+    s, U, V = truncated_svd(A, 12)
+    k = select_dimension(s) + 1
+    return U[:, :k], V[:, :k]
+
+
+@pytest.fixture
+def deflations(monkeypatch):
+    """What each call of ``_deflated_values`` returned (None: the fallback served),
+    then the names of the eigvalsh and cholesky calls it made."""
+    outcomes, calls = [], []
+    original = linalg._deflated_values
+    monkeypatch.setattr(linalg, "_deflated_values",
+                        lambda W, P: outcomes.append(original(W, P)) or outcomes[-1])
+    for name in ("eigvalsh", "cholesky"):
+        spied = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, _name=name, _f=spied, **kw: calls.append(_name) or _f(*args, **kw))
+    return outcomes, calls
+
+
+def _first_rows_matrix():
+    """100 x 150, s = 1, 0.3, 0.2, 0.1, then 0.02 down to 0.005; the leading
+    four left vectors are the first four unit vectors."""
+    rng = np.random.default_rng(0)
+    U = np.zeros((100, 100))
+    U[:4, :4] = np.eye(4)
+    U[4:, 4:] = np.linalg.qr(rng.normal(size=(96, 96)))[0]
+    V = np.linalg.qr(rng.normal(size=(150, 100)))[0]
+    return (U * np.r_[1, 0.3, 0.2, 0.1, np.geomspace(0.02, 0.005, 96)]) @ V.T
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["as-given", "transposed"])
+@pytest.mark.parametrize("case", ["square", "first-rows"])
+def test_deflated_singular_values_match_the_plain_svd(plans, deflations, case, transpose):
+    # both clear every check with room: the square plan's leading 9 vectors
+    # have a refined residual of 0.5-0.7 eps * s_1 (limit 4), a gap
+    # s_9 / s_10 = 3.07 (limit 2) and a bound eps * s_10^2 / s_r of
+    # 0.14 eps * s_1 (limit 4); the constructed matrix 1.0, 5 and 0.08.  Its
+    # block lies in the first rows, which the Cholesky factorization's half
+    # holds: without lifting P's directions that half would fail
+    A = plans["square"] if case == "square" else _first_rows_matrix()
+    A = A.T if transpose else A
+    block = truncated_svd(A, 9 if case == "square" else 4)[1:]
+    s = linalg.singular_values(A, block)
+    assert deflations[0][0] is not None and deflations[1] == ["cholesky", "eigvalsh"]
+    plain = np.linalg.svd(A, compute_uv=False)
+    np.testing.assert_allclose(s, plain, rtol=0, atol=4 * np.finfo(float).eps * plain[0])
+    assert (np.diff(s) <= 0).all()
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["as-given", "transposed"])
+@pytest.mark.parametrize("k", ["auto", 9])
+def test_singular_values_with_a_block_match_the_plain_svd(plans, k, transpose):
+    # the 300 x 400 plan's blocks pass the gap (10.3 at "auto", k = 4; 3.0 at
+    # k = 9) and the bound, but their refined residual reads 2.7-3.7 eps * s_1
+    # with some BLAS kernels, near the limit of 4: either path must agree
+    A = plans["wide"].T if transpose else plans["wide"]
+    block = _auto_block(A) if k == "auto" else truncated_svd(A, k)[1:]
+    s = linalg.singular_values(A, block)
+    plain = np.linalg.svd(A, compute_uv=False)
+    np.testing.assert_allclose(s, plain, rtol=0, atol=4 * np.finfo(float).eps * plain[0])
+    np.testing.assert_array_equal(s, linalg.singular_values(A.T, block[::-1]))
+
+
+def test_singular_values_on_a_flat_spectrum_take_qr_first(plans, deflations):
+    # on the flat 400 x 100 plan no block of 1-6 leading vectors ends at a gap
+    # (s_k / s_{k+1} = 1.00-1.10), so (c) sends each to QR first, and it fails
+    # before the Gram product against three power steps' rho
+    A = plans["flat"]
+    plain = np.linalg.svd(A, compute_uv=False)
+    for k in range(1, 7):
+        s = linalg.singular_values(A, truncated_svd(A, k)[1:])
+        np.testing.assert_array_equal(s, linalg.singular_values(A))
+        np.testing.assert_allclose(s, plain, rtol=0, atol=4 * np.finfo(float).eps * plain[0])
+    assert deflations[0] == [None] * 6 and deflations[1] == []
+
+
+def _fallback_case(plans, case):
+    """A plan and a block that fail check (a), (b) or (c) of the deflation."""
+    if case == "tilted":
+        # the 9 vectors that pass in the test above, the last tilted by 1e-7
+        # toward the next: two subspace steps across a gap of 3.07 leave a
+        # residual of 300 eps * s_1 (a)
+        A = plans["square"]
+        _, U, V = truncated_svd(A, 10)
+        U[:, 8] += 1e-7 * U[:, 9]
+        V[:, 8] += 1e-7 * V[:, 9]
+        return A, (U[:, :9], V[:, :9])
+    if case == "tiny-s_r":
+        # the q = 3 block of the square plan leaves s_5^2 / s_r = 31 s_1 (b)
+        return plans["square"], _auto_block(plans["square"])
+    if case == "twin":
+        # the square plan with its first two rows and columns made equal:
+        # its 9 leading vectors pass (a) and (c) as above, but s_r = 0 (b)
+        A = plans["square"].copy()
+        A[1], A[:, 1] = A[0], A[:, 0]
+        return A, truncated_svd(A, 9)[1:]
+    if case == "gap":
+        # s_7 / s_8 = 1.84 on the square plan, every other check clear (c)
+        return plans["square"], truncated_svd(plans["square"], 7)[1:]
+    if case == "rank-k":
+        # W' = 0: rho = 0, and nothing positive definite is left (b)
+        A = np.zeros((4, 6))
+        A[0, 0], A[1, 1] = 1.0, 0.5
+        return A, truncated_svd(A, 2)[1:]
+    # exact dyadic values, s_3 = s_4: a block of three ends inside a tie (c)
+    A = np.zeros((8, 12))
+    A[np.arange(8), np.arange(8)] = [1, 0.5, 0.25, 0.25, 0.125, 0.0625, 0.03125, 0.03125]
+    return A, truncated_svd(A, 3)[1:]
+
+
+@pytest.mark.parametrize("steps", [linalg._POWER_STEPS, 0], ids=["power", "no-power"])
+@pytest.mark.parametrize("transpose", [False, True], ids=["as-given", "transposed"])
+@pytest.mark.parametrize("case", ["tilted", "tiny-s_r", "twin", "gap", "tie", "rank-k"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deflation_falls_back_to_the_bits_of_qr_first(plans, deflations, monkeypatch, case, transpose, steps):
+    # with power steps, rho ~ s_{k+1}^2 settles (c) before the Gram product for
+    # the tie (the gap of 1.84 only by a hair), and the Cholesky factorization
+    # of the leading half settles (b) for the twin rows (the 300 x 300 plan's
+    # tiny s_r shows only in the whole).  With no power steps, rho is far
+    # below s_{k+1}^2, and the tiny s_r and the gap are left to the checks
+    # after eigvalsh
+    monkeypatch.setattr(linalg, "_POWER_STEPS", steps)
+    A, block = _fallback_case(plans, case)
+    if transpose:
+        A, block = A.T, block[::-1]
+    s = linalg.singular_values(A, block)
+    outcomes, calls = deflations
+    assert outcomes == [None]
+    np.testing.assert_array_equal(s, linalg.singular_values(A))
+    early = {"tilted": [], "twin": ["cholesky"], "tie": [], "rank-k": ["cholesky"]}
+    if steps and case in early:
+        assert calls == early[case]
+
+
+def test_deflation_memory_error_names_the_size(plans, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    block = truncated_svd(plans["square"], 9)[1:]
+    monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
+    with pytest.raises(InputError, match=r"300 x 300 matrix does not fit in memory.*MiB"):
+        linalg.singular_values(plans["square"], block)
+
+
+def test_deflation_block_must_match_the_short_side():
+    A = RNG.normal(size=(6, 9))
+    with pytest.raises(InputError, match="6 x k"):
+        linalg.singular_values(A, (np.ones((9, 2)), np.ones((6, 2))))
 
 
 _CHILD = """

@@ -167,6 +167,20 @@ def test_rand_index_validation():
         rand_index([0.5, 1.0], [0, 1])
 
 
+@pytest.mark.parametrize("big", [1e30, -1e30, 2.0**63, np.inf])
+def test_float_labels_beyond_int64_raise(big):
+    # astype would turn both values into -2^63 and merge two classes
+    with pytest.raises(InputError, match="int64 range"):
+        rand_index([big, 2 * big, 0.0, 1.0], [0, 1, 2, 3])
+    with pytest.raises(InputError, match="int64 range"):
+        davies_bouldin(FOUR_CORNERS, [big, big, 0.0, 0.0])
+
+
+def test_float_labels_at_the_int64_ends_convert():
+    ends = [-(2.0**63), -(2.0**63), 2.0**63 - 1024, 2.0**63 - 1024]
+    assert rand_index(ends, [0, 0, 1, 1]) == 1.0
+
+
 def test_davies_bouldin_hand_oracle():
     # both clusters have RMS scatter 1, centroid separation 10 -> 0.2
     assert davies_bouldin(FOUR_CORNERS, FOUR_LABELS) == pytest.approx(0.2)
