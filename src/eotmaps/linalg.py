@@ -95,9 +95,15 @@ def check_real(value, name: str, lo: float | None = None, strict: bool = False) 
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` (array-like or DataMatrix) to a validated float64 2-D array."""
+    """Coerce ``a`` (array-like or DataMatrix) to a validated float64 2-D array.
+
+    A complex array raises InputError: its dtype is read, not its entries.
+    """
     if isinstance(a, DataMatrix):
         return a.values
+    dtype = getattr(a, "dtype", None)
+    if isinstance(dtype, np.dtype) and dtype.kind == "c":  # the cast would drop the imaginary part
+        raise InputError(f"{name} must be a matrix of real numbers")
     try:
         arr = np.asarray(a, dtype=float)
     except (TypeError, ValueError):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eotmaps.transport as transport
 from eotmaps import (
@@ -22,6 +24,7 @@ from eotmaps import (
     squared_distance_matrix,
     transport_plan,
 )
+from eotmaps.linalg import as_matrix
 
 RNG = np.random.default_rng(8160219)
 
@@ -168,6 +171,149 @@ def test_median_bandwidth_hand_oracle():
 def test_median_bandwidth_degenerate():
     with pytest.raises(DegenerateBandwidthError):
         median_bandwidth(np.zeros((3, 3)))
+
+
+def expansion_reference(X, Y):
+    """The one-line norm expansion that ``squared_distance_matrix`` finishes in blocks."""
+    sq_x = np.einsum("ij,ij->i", X, X)
+    sq_y = np.einsum("ij,ij->i", Y, Y)
+    return np.maximum(sq_x[:, None] + sq_y[None, :] - 2.0 * (X @ Y.T), 0.0)
+
+
+def laid_out(a, layout):
+    """``a`` in C order, in Fortran order, or as a view of every other column of a wider array."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "sliced":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a
+
+
+BLOCK_ROW = transport._BLOCK_ENTRIES + 3  # one row longer than a whole block
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(1, 9), (9, 1), (1, 1), (3, 400), (400, 3), (37, 53), (2, BLOCK_ROW), (BLOCK_ROW, 2)]),
+    st.integers(1, 6),
+    st.sampled_from(["C", "F", "sliced"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_squared_distances_are_the_one_line_expansion_bit_for_bit(shape, p, layout, seed):
+    rng = np.random.default_rng(seed)
+    X = laid_out(rng.normal(size=(shape[0], p)), layout)
+    Y = laid_out(3.0 * rng.normal(size=(shape[1], p)), layout)
+    assert np.array_equal(squared_distance_matrix(X, Y), expansion_reference(X, Y))
+
+
+def test_squared_distances_clip_integer_cancellation_to_exact_zeros():
+    # near 1e9 the squares round, and |x|^2 + |y|^2 - 2 x.y comes out
+    # negative for some pairs: those entries are clipped to exactly 0
+    X = np.arange(10**9, 10**9 + 64)[:, None]
+    Y = X[::-1] + np.arange(64)[:, None] % 2
+    Xf, Yf = X.astype(float), Y.astype(float)
+    sq_x, sq_y = (np.einsum("ij,ij->i", a, a) for a in (Xf, Yf))
+    clipped = sq_x[:, None] + sq_y[None, :] - 2.0 * (Xf @ Yf.T) < 0
+    assert clipped.any()
+    D2 = squared_distance_matrix(X, Y)
+    assert np.array_equal(D2, expansion_reference(Xf, Yf))
+    assert (D2[clipped] == 0.0).all() and D2.min() == 0.0
+
+
+def test_squared_distances_allocate_one_block_beyond_the_result():
+    X = RNG.normal(size=(1000, 5))
+    Y = RNG.normal(size=(900, 5))
+    squared_distance_matrix(X, Y)  # numpy loads internals lazily on a first call
+    assert traced_peak(lambda: squared_distance_matrix(X, Y)) < 1.25 * 1000 * 900 * 8
+
+
+def spy_on_median(monkeypatch):
+    """Count the calls ``median_bandwidth`` makes to ``np.median`` (its fallback)."""
+    calls = []
+    median = np.median
+    monkeypatch.setattr(np, "median", lambda a: calls.append(a.shape) or median(a))
+    return calls
+
+
+def median_cases():
+    rng = np.random.default_rng(23)
+    D2 = squared_distance_matrix(rng.normal(size=(301, 4)), rng.normal(size=(203, 4)))
+    square = squared_distance_matrix(rng.normal(size=(400, 4)), rng.normal(size=(400, 4)))
+    # every column a multiple of the stride before it is made coprime holds a large value
+    period = square.size // transport._SAMPLE
+    periodic = rng.uniform(1.0, 2.0, size=square.shape) + np.where(np.arange(400) % period, 0.0, 50.0)
+    return {
+        "odd": D2,  # 61,103 entries
+        "even": D2[:, 1:],
+        "ties": rng.integers(1, 6, size=(250, 240)).astype(float),
+        "constant": np.full((220, 230), 2.5),
+        "row": D2.reshape(1, -1),
+        "column": D2.reshape(-1, 1),
+        "fortran": np.asfortranarray(square),
+        "every other column": square[:, ::2],
+        "transposed": square.T,
+        "periodic columns": periodic,
+        "small odd": D2[:5, :7],  # the sample is the whole array
+        "small even": D2[:6, :7],
+        "single entry": D2[:1, :1],
+    }
+
+
+@pytest.mark.parametrize("case", list(median_cases()))
+def test_median_bandwidth_has_np_median_bits(case, monkeypatch):
+    D2 = median_cases()[case]
+    expected = np.median(D2)
+    calls = spy_on_median(monkeypatch)
+    med = median_bandwidth(D2)
+    assert type(med) is float and np.float64(med).tobytes() == expected.tobytes()
+    assert calls == []  # selected from the bracket, not by the fallback
+
+
+def test_median_bandwidth_falls_back_when_the_sample_misleads(monkeypatch):
+    # every sampled entry is far above the rest, so the bracket sits above
+    # the median and np.median decides
+    rng = np.random.default_rng(5)
+    D2 = rng.uniform(1.0, 2.0, size=(300, 410))
+    D2.ravel()[:: transport._sample_stride(D2.size)] += 1e6
+    expected = np.median(D2)
+    calls = spy_on_median(monkeypatch)
+    assert np.float64(median_bandwidth(D2)).tobytes() == expected.tobytes()
+    assert calls == [D2.shape]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (300, 300)], ids=["whole sample", "bracket"])
+def test_median_bandwidth_keeps_its_errors(shape):
+    D2 = np.zeros(shape)
+    D2[: shape[0] // 3] = 1.0  # most entries are zero
+    with pytest.raises(DegenerateBandwidthError):
+        median_bandwidth(D2)
+    for i in (0, D2.size // 2, D2.size - 1):
+        bad = np.ones(shape)
+        bad.flat[i] = -1e-300
+        with pytest.raises(InputError, match="D2 must be nonnegative"):
+            median_bandwidth(bad)
+        bad.flat[i] = np.nan
+        with pytest.raises(InputError, match="D2 contains non-finite"):
+            median_bandwidth(bad)
+
+
+def test_median_bandwidth_makes_no_copy_of_d2():
+    D2 = squared_distance_matrix(RNG.normal(size=(1000, 3)), RNG.normal(size=(1000, 3)))
+    median_bandwidth(D2)
+    assert traced_peak(lambda: median_bandwidth(D2)) < 0.25 * D2.nbytes
+
+
+def test_complex_points_are_rejected_not_cast():
+    # np.asarray(dtype=float) would drop the imaginary part with only a ComplexWarning
+    points = np.array([[1.0 + 2.0j, 3.0], [0.0, 1.0]])
+    with pytest.raises(InputError, match="X must be a matrix of real numbers"):
+        as_matrix(points, "X")
+    with pytest.raises(InputError, match="Y must be a matrix of real numbers"):
+        squared_distance_matrix(np.ones((2, 2)), points)
+    with pytest.raises(InputError, match="X must be a matrix of real numbers"):
+        transport_plan(points.astype(np.complex64), np.ones((3, 2)))
 
 
 def test_sinkhorn_single_entry():
