@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError
+
+# numpy's warning when a cast drops imaginary parts (np.ComplexWarning before 1.25)
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 # Singular values at or below this are numerically zero: u^T A v carries no
 # sign there, so v gets its own largest-entry rule.
@@ -98,6 +102,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` (array-like or DataMatrix) to a validated float64 2-D array.
 
     A complex array raises InputError: its dtype is read, not its entries.
+    Complex values nested in a list raise it too, from numpy's warning that
+    the cast drops their imaginary part.
     """
     if isinstance(a, DataMatrix):
         return a.values
@@ -105,8 +111,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if isinstance(dtype, np.dtype) and dtype.kind == "c":  # the cast would drop the imaginary part
         raise InputError(f"{name} must be a matrix of real numbers")
     try:
-        arr = np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
+        if isinstance(a, np.ndarray):  # its dtype was read above
+            arr = np.asarray(a, dtype=float)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", _ComplexWarning)
+                arr = np.asarray(a, dtype=float)
+    except (TypeError, ValueError, _ComplexWarning):
         raise InputError(f"{name} must be a matrix of real numbers") from None
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-D, got ndim={arr.ndim}")

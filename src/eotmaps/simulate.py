@@ -160,6 +160,8 @@ class BandedGaussianNoise:
 def _check_basis(B: np.ndarray, p: int, name: str):
     if B.ndim != 2 or B.shape[0] != p:
         raise InputError(f"{name} must be a (p, *) matrix, got {B.shape}")
+    if not np.isfinite(B).all():  # NaN > tol is False: the checks below would pass it
+        raise InputError(f"{name} contains non-finite entries")
     if B.shape[1] == 0:
         return
     if np.abs(B.T @ B - np.eye(B.shape[1])).max() > _ORTHO_TOL:
@@ -243,6 +245,8 @@ def observe(latent: LatentSample, which: int, cfg: ObservationModelConfig) -> Da
                     f"explicit nuisance for dataset {which} must have shape "
                     f"({count}, {V.shape[1]}), got {z.shape}"
                 )
+            if not np.isfinite(z).all():
+                raise InputError(f"nuisance{which} contains non-finite entries")
         M = M + z @ V.T
     if noise is not None:
         M = M + noise.sample(_stream(cfg.seed, which, _ROLE_NOISE), count, cfg.p)
@@ -301,44 +305,29 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
     r = 6 if name == "clustering" else 3
     check_int(p, "p", r + 1)
     eye = np.eye(p)
-    U = eye[:, :r]
-    V1 = eye[:, :0]
-    V2 = eye[:, r:]
-
     if name == "clustering":
         theta = param
-        cfg = ObservationModelConfig(
-            p=p, r=r,
-            nu1=15.0 * (eye[:, 0] + eye[:, 1]), nu2=np.zeros(p),
-            a1=theta, a2=theta,
-            U_basis=U, V1_basis=V1, V2_basis=V2,
-            nuisance1=None, nuisance2=UniformNuisance(theta / 2.0, theta),
-            noise1=GaussianNoise(1.0), noise2=BandedGaussianNoise(1.0, r),
-            seed=seed,
-        )
-        lat_x = sample_gmm(m, seed, dataset=1)
-        lat_y = sample_gmm(n, seed, dataset=2)
+        nu1, a1, a2 = 15.0 * (eye[:, 0] + eye[:, 1]), theta, theta
+        nuisance2 = UniformNuisance(theta / 2.0, theta)
+        noise1, noise2 = GaussianNoise(1.0), BandedGaussianNoise(1.0, r)
+        sample = sample_gmm
     else:
         theta = 13.0
         sigma = 0.05 * theta
         tau = param if name == "setting1" else 1.0
-        nuisance2 = None
-        noise2 = GaussianNoise(sigma)
-        if name == "setting2":
-            gamma = param
-            nuisance2 = UniformNuisance(gamma * theta / 2.0, gamma * theta)
+        nu1, a1, a2 = tau * 3.0 * theta * eye[:, 0], 3.0 * theta, theta
+        nuisance2, noise1, noise2 = None, GaussianNoise(sigma), GaussianNoise(sigma)
+        if name == "setting2":  # param is gamma
+            nuisance2 = UniformNuisance(param * theta / 2.0, param * theta)
             noise2 = BandedGaussianNoise(sigma, r)
-        cfg = ObservationModelConfig(
-            p=p, r=r,
-            nu1=tau * 3.0 * theta * eye[:, 0], nu2=np.zeros(p),
-            a1=3.0 * theta, a2=theta,
-            U_basis=U, V1_basis=V1, V2_basis=V2,
-            nuisance1=None, nuisance2=nuisance2,
-            noise1=GaussianNoise(sigma), noise2=noise2,
-            seed=seed,
-        )
-        lat_x = sample_torus(m, seed, dataset=1)
-        lat_y = sample_torus(n, seed, dataset=2)
+        sample = sample_torus
+    cfg = ObservationModelConfig(
+        p=p, r=r, nu1=nu1, nu2=np.zeros(p), a1=a1, a2=a2,
+        U_basis=eye[:, :r], V1_basis=eye[:, :0], V2_basis=eye[:, r:],
+        nuisance2=nuisance2, noise1=noise1, noise2=noise2, seed=seed,
+    )
+    lat_x = sample(m, seed, dataset=1)
+    lat_y = sample(n, seed, dataset=2)
 
     X = observe(lat_x, 1, cfg)
     Y = observe(lat_y, 2, cfg)

@@ -289,6 +289,23 @@ def test_svd_overflowing_norms_go_dense(svd_paths):
     np.testing.assert_array_equal(U, U_full[:, :3])
 
 
+def test_svd_gram_path_declines_a_zero_kth_eigenvalue(svd_paths, monkeypatch):
+    # rank 2 at k = 4: subspace iteration would certify the null directions,
+    # so it is made to hand off; W W^T = diag(9, 4, 0, ...) has lambda_4 = 0
+    # exactly, s = 0 has no long side W^T u / s, and the dense SVD serves
+    monkeypatch.setattr(linalg, "_subspace_svd", lambda W, k: (None, 1))
+    A = np.zeros((40, 60))
+    A[0, 0], A[1, 1] = 3.0, 2.0
+    assert linalg._gram_svd(A, 4) is None
+    s, U, V = truncated_svd(A, 4)
+    assert svd_paths == ["dense"]
+    s_full, U_full, V_full = truncated_svd(A, 40)
+    np.testing.assert_array_equal(s, s_full[:4])
+    np.testing.assert_array_equal(U, U_full[:, :4])
+    np.testing.assert_array_equal(V, V_full[:, :4])
+    np.testing.assert_allclose(s, [3.0, 2.0, 0.0, 0.0], rtol=0, atol=1e-15)
+
+
 def test_svd_gram_memory_error_names_the_size(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -413,6 +430,16 @@ def test_singular_values_on_a_flat_spectrum_take_qr_first(plans, deflations):
         np.testing.assert_array_equal(s, linalg.singular_values(A))
         np.testing.assert_allclose(s, plain, rtol=0, atol=4 * np.finfo(float).eps * plain[0])
     assert deflations[0] == [None] * 6 and deflations[1] == []
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["as-given", "transposed"])
+def test_singular_values_with_a_block_of_all_r_columns_take_qr_first(plans, deflations, transpose):
+    # nothing is left to deflate: the call returns QR first's bits
+    A = plans["wide"].T if transpose else plans["wide"]
+    block = truncated_svd(A, min(A.shape))[1:]
+    s = linalg.singular_values(A, block)
+    assert deflations[0] == [None] and deflations[1] == []
+    np.testing.assert_array_equal(s, linalg.singular_values(A))
 
 
 def _fallback_case(plans, case):

@@ -314,6 +314,27 @@ def test_kmeans_k_equals_n_is_exact():
     assert len(set(labels.tolist())) == 6
 
 
+def test_kmeans_on_duplicate_points_reseeds_and_falls_back(monkeypatch):
+    # three coincident points and one apart, k = 3: once both locations are
+    # chosen, every remaining point sits on a centre (zero seeding weight),
+    # so the seeding takes the first unused index, a second centre at 0;
+    # argmin gives the ties to the first, so its twin's cluster comes out
+    # empty and is re-seeded
+    import eotmaps.metrics as metrics
+
+    seed_centers, seeded = metrics._seed_centers, []
+
+    def recorded(*args):
+        centers = seed_centers(*args)
+        seeded.append(centers.copy())
+        return centers
+
+    monkeypatch.setattr(metrics, "_seed_centers", recorded)
+    labels = kmeans([[0.0], [0.0], [0.0], [1.0]], 3)
+    assert all(sorted(c.ravel()) == [0.0, 0.0, 1.0] for c in seeded)
+    assert labels[0] == labels[1] == labels[2] != labels[3]
+
+
 def test_kmeans_validation():
     P = np.zeros((5, 2))
     P[1] = 1.0

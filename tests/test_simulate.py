@@ -208,6 +208,27 @@ def test_config_validation():
         small_config(seed=-1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_bases_and_nuisance_are_named():
+    # NaN > tol is False, so the orthogonality checks alone would pass these
+    # and observe would fail later, on its output, with a misleading message
+    eye = np.eye(4)
+    nan_U = eye[:, :2].copy()
+    nan_U[0, 0] = np.nan
+    inf_V2 = eye[:, 2:].copy()
+    inf_V2[3, 1] = np.inf
+    with pytest.raises(InputError, match="U_basis contains non-finite entries"):
+        small_config(U_basis=nan_U)
+    with pytest.raises(InputError, match="V2_basis contains non-finite entries"):
+        small_config(V2_basis=inf_V2)
+    from eotmaps import LatentSample
+
+    z = np.ones((3, 2))
+    z[1, 0] = np.nan
+    with pytest.raises(InputError, match="nuisance2 contains non-finite entries"):
+        observe(LatentSample(points=np.zeros((3, 2))), 2, small_config(nuisance2=z))
+
+
 def test_preset_setting1_wiring():
     pair = preset("setting1", m=8, n=11, p=7, seed=4, param=2.0)
     cfg = pair.config

@@ -67,7 +67,7 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
     rises or a mix is non-finite.  The least-squares fit solves the normal
     equations with einsum as ``sinkhorn`` does: it is ill-conditioned near
     convergence, and a QR solve moves W by ~1e-13.  ``mix=False`` gives
-    plain Sinkhorn.  Returns the balanced plan W and the number of sweeps.
+    plain Sinkhorn.  Returns the plan W and the number of sweeps.
     """
 
     def lse_rows(M):
@@ -122,8 +122,7 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
             f = T[-1] - np.einsum("i,ik->k", gamma, np.diff(T, axis=0))
             if not np.isfinite(f).all():
                 f, history = f_next, []
-    shift = 0.5 * (lse_rows(g[None, :]) - lse_rows(f[None, :]))[0]
-    return np.exp((f + shift)[:, None] + logK + (g - shift)[None, :]), sweep
+    return np.exp(f[:, None] + logK + g[None, :]), sweep
 
 
 def test_squared_distance_hand_oracle():
@@ -316,6 +315,20 @@ def test_complex_points_are_rejected_not_cast():
         transport_plan(points.astype(np.complex64), np.ones((3, 2)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_complex_rows_nested_in_a_list_are_rejected_not_cast():
+    # a list of complex rows has no dtype to read: numpy's ComplexWarning on
+    # the cast, not a [[1., 3.]] that lost its imaginary part, decides
+    rows = [np.array([1.0 + 2.0j, 3.0]), np.array([0.0, 1.0])]
+    with pytest.raises(InputError, match="X must be a matrix of real numbers"):
+        as_matrix(rows[:1], "X")
+    with pytest.raises(InputError, match="Y must be a matrix of real numbers"):
+        squared_distance_matrix(np.ones((2, 2)), rows)
+    with pytest.raises(InputError, match="X must be a matrix of real numbers"):
+        transport_plan([np.complex64(1.0 + 1.0j) * np.ones(2)] * 2, np.ones((3, 2)))
+    np.testing.assert_array_equal(as_matrix([np.array([1.0, 3.0])], "X"), [[1.0, 3.0]])
+
+
 def test_sinkhorn_single_entry():
     # the 1x1 plan is fully determined by its marginals: W = [[1]]
     plan = sinkhorn(np.log(np.array([[0.37]])))
@@ -464,6 +477,48 @@ def test_mixing_converges_in_fewer_sweeps_to_the_plain_plan():
     # both stop within about tol / (1 - rate) of the exact plan, so they
     # differ by up to 1.9e-8 in the smallest entries
     assert np.abs(plan.W - W_plain).max() <= 1e-8 * W_plain.max()
+    assert marginal_residual(plan.W) <= 1e-10
+
+
+def test_drifting_duals_are_absorbed_again(monkeypatch):
+    # Absorbed once, this plan's kernel holds an entry that underflowed to 0;
+    # the duals then drift by ~100 (rows) and ~700 (columns), so that entry
+    # carries 4e-8 of the plan unseen by every kernel-space sum: 390 sweeps
+    # stop at a residual of 9.0e-11 read from the duals, with marginals off
+    # by 6.0e-8.  Absorbing again whenever f drifts by ABSORB_DRIFT: 277
+    # sweeps, marginals 9.8e-11.
+    pair = preset("clustering", 90, 40, 20, 1, 1.0)
+    X, Y = pair.X.values, pair.Y.values
+    eps = median_bandwidth(squared_distance_matrix(X, Y)) / 1000.0
+    scaled_kernel = transport._scaled_kernel
+    absorbed = []
+
+    def recorded(*args):
+        absorbed.append(True)
+        return scaled_kernel(*args)
+
+    monkeypatch.setattr(transport, "_scaled_kernel", recorded)
+    plan = transport_plan(X, Y, epsilon=eps)
+    assert marginal_residual(plan.W) <= 1e-9
+    assert len(absorbed) > 2  # more than the first absorption and the final W
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_mix_restarts_from_the_plain_step(monkeypatch):
+    # a NaN mix carried into the next sweep would make every dual NaN and
+    # raise NumericalError; the plain step T(f) replaces it instead
+    logK = np.random.default_rng(8160219).normal(size=(40, 60)) * 5.0
+    anderson_mix = transport._anderson_mix
+    mixes = []
+
+    def first_mix_nan(history):
+        mixes.append(True)
+        f = anderson_mix(history)
+        return np.full_like(f, np.nan) if len(mixes) == 1 else f
+
+    monkeypatch.setattr(transport, "_anderson_mix", first_mix_nan)
+    plan = sinkhorn(logK)
+    assert len(mixes) > 1  # mixing resumed after the restart
     assert marginal_residual(plan.W) <= 1e-10
 
 
