@@ -57,7 +57,7 @@ def _read_matrix(path: str):
     from . import linalg
 
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError:
         raise InputError(f"cannot read {path}")
     except ValueError as exc:
@@ -74,14 +74,16 @@ def _write_matrix(path: str, arr, fmt=_FLOAT_FMT, header: str = ""):
 
 
 def _read_labels(path: str):
-    from . import metrics
+    from . import linalg
 
     flat = _read_matrix(path).ravel()
-    return metrics._validated_labels(flat, flat.size, f"labels in {path}")
+    return linalg.as_labels(flat, flat.size, f"labels in {path}")
 
 
 def _read_embedding(path: str):
     import numpy as np
+
+    from . import linalg
 
     try:
         with open(path) as fh:
@@ -91,12 +93,14 @@ def _read_embedding(path: str):
     if not header.startswith("dataset,point_index,coord_1"):
         raise InputError(f"{path} does not look like an embedding file (bad header)")
     try:
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise InputError(f"{path} has malformed rows: {exc}")
+    if arr.shape[0] == 0:
+        raise InputError(f"{path} holds no rows")
     if arr.shape[1] < 3:
         raise InputError(f"{path} must have at least one coordinate column")
-    return arr[:, 2:]
+    return linalg.as_matrix(arr[:, 2:], path)
 
 
 def _load_config(path: str) -> dict:

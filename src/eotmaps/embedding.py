@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, PlanNotConvergedError
-from .linalg import SINGULAR_FLOOR, check_int, truncated_svd
+from .linalg import SINGULAR_FLOOR, as_real, check_int, truncated_svd
 from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, TransportPlan, transport_plan
 
 _AUTO_WINDOW = 10  # q="auto" picks q in [1, _AUTO_WINDOW], from s_1..s_{_AUTO_WINDOW+2}
@@ -120,13 +120,13 @@ def select_dimension(s) -> int:
     s_{q+1} / s_{q+2}, the gap right after the last kept coordinate; ties go
     to the smallest q and two values give q = 1.  Values at or below
     SINGULAR_FLOOR * s_1 count as 0; x/0 with x > 0 is an infinite ratio
-    and 0/0 no gap (ratio 1).  Only s_1..s_12 enter the choice.
+    and 0/0 no gap (ratio 1).  Only s_1..s_12 enter the choice.  A complex,
+    text or non-finite entry in ``s`` raises InputError naming ``s``, as do
+    fewer than two values and negative or increasing ones.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or s.size < 2:
+    s = as_real(s, "s", 1)
+    if s.size < 2:
         raise InputError("s must be a 1-D spectrum with at least two values")
-    if not np.isfinite(s).all():
-        raise InputError("s contains non-finite values")
     if (s < 0).any() or (np.diff(s) > 0).any():
         raise InputError("s must be nonnegative and non-increasing")
 

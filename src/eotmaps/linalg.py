@@ -21,16 +21,12 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError
-
-# numpy's warning when a cast drops imaginary parts (np.ComplexWarning before 1.25)
-_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 # Singular values at or below this are numerically zero: u^T A v carries no
 # sign there, so v gets its own largest-entry rule.
@@ -63,6 +59,7 @@ _DEFLATION_GAP = 2.0
 # Power steps behind rho <= s_{k+1}^2, against which checks (b) and (c) are
 # tried before the Gram product: after 3, rho read 0.66-1.0 s_{k+1}^2 on test and CLI plans.
 _POWER_STEPS = 3
+_INT64_END = 2.0**63  # integer-valued float labels must lie in [-_INT64_END, _INT64_END)
 
 
 def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -98,34 +95,61 @@ def check_real(value, name: str, lo: float | None = None, strict: bool = False) 
     return value
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` (array-like or DataMatrix) to a validated float64 2-D array.
+def as_real(a, name: str, ndim: int) -> np.ndarray:
+    """``a`` as a float64 array with ``ndim`` axes, else InputError naming ``name``.
 
-    A complex array raises InputError: its dtype is read, not its entries.
-    Complex values nested in a list raise it too, from numpy's warning that
-    the cast drops their imaginary part.
+    The one rule for arrays a caller passes.  Complex values and text, in an
+    array or nested in a list, raise InputError rather than being cast, and
+    so do ragged rows, the wrong number of axes and non-finite entries, read
+    from the min and max (NaN propagates: no mask is built).  A float64
+    ndarray is returned as is.  Each caller keeps its own shape rule.
+    """
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind not in "biufO":  # complex, text, dates: never cast
+            raise TypeError
+        arr = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError):
+        kind = "matrix" if ndim == 2 else "vector"
+        raise InputError(f"{name} must be a {kind} of real numbers") from None
+    if arr.ndim != ndim:
+        raise InputError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise InputError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """:func:`as_real`'s 2-D case, with at least one row and one column.
+
+    A DataMatrix is taken as is: its values were checked when it was built.
     """
     if isinstance(a, DataMatrix):
         return a.values
-    dtype = getattr(a, "dtype", None)
-    if isinstance(dtype, np.dtype) and dtype.kind == "c":  # the cast would drop the imaginary part
-        raise InputError(f"{name} must be a matrix of real numbers")
-    try:
-        if isinstance(a, np.ndarray):  # its dtype was read above
-            arr = np.asarray(a, dtype=float)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", _ComplexWarning)
-                arr = np.asarray(a, dtype=float)
-    except (TypeError, ValueError, _ComplexWarning):
-        raise InputError(f"{name} must be a matrix of real numbers") from None
-    if arr.ndim != 2:
-        raise InputError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    arr = as_real(a, name, 2)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InputError(f"{name} must have at least one row and one column, got {arr.shape}")
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates: no m x n mask
-        raise InputError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_labels(labels, count: int, name: str = "labels") -> np.ndarray:
+    """``labels`` as an integer vector of length ``count``, else InputError.
+
+    The one rule for label vectors.  Integer-valued floats become int64; one
+    outside [-2^63, 2^63) raises, because ``astype`` would turn every such
+    value into -2^63 and merge them.  Complex, text and NaN labels raise.
+    """
+    lab = np.asarray(labels)
+    if lab.shape != (count,):
+        raise InputError(f"{name} must be a vector of length {count}, got shape {lab.shape}")
+    if np.issubdtype(lab.dtype, np.integer):
+        return lab
+    if not (np.issubdtype(lab.dtype, np.floating) and np.all(lab == np.round(lab))):
+        raise InputError(f"{name} must be integers")
+    if lab.size and not (-_INT64_END <= lab.min() and lab.max() < _INT64_END):  # inf included
+        bad = lab.min() if lab.min() < -_INT64_END else lab.max()
+        raise InputError(f"{name} must lie in the int64 range [-2^63, 2^63), got {bad:g}")
+    return lab.astype(np.int64)
 
 
 @dataclass(frozen=True)

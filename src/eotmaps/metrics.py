@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, check_int
+from .linalg import as_labels, as_matrix, check_int
 from .simulate import _stream
 from .transport import _squared_distances, squared_distance_matrix
 
@@ -24,26 +24,6 @@ DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 200  # Lloyd steps per restart
-_INT64_END = 2.0**63  # integer-valued float labels must lie in [-_INT64_END, _INT64_END)
-
-
-def _validated_labels(labels, count: int, name: str = "labels") -> np.ndarray:
-    """``labels`` as an integer vector of length ``count``, else InputError.
-
-    Integer-valued floats become int64; one outside [-2^63, 2^63) raises,
-    because ``astype`` would turn every such value into -2^63 and merge them.
-    """
-    lab = np.asarray(labels)
-    if lab.shape != (count,):
-        raise InputError(f"{name} must be a vector of length {count}, got shape {lab.shape}")
-    if np.issubdtype(lab.dtype, np.integer):
-        return lab
-    if not (np.issubdtype(lab.dtype, np.floating) and np.all(lab == np.round(lab))):
-        raise InputError(f"{name} must be integers")
-    if lab.size and not (-_INT64_END <= lab.min() and lab.max() < _INT64_END):  # inf included
-        bad = lab.min() if lab.min() < -_INT64_END else lab.max()
-        raise InputError(f"{name} must lie in the int64 range [-2^63, 2^63), got {bad:g}")
-    return lab.astype(np.int64)
 
 
 def _neighbor_balls(P: np.ndarray, k: int):
@@ -114,8 +94,8 @@ def rand_index(labels_a, labels_b) -> float:
     b = np.asarray(labels_b).ravel()
     if a.shape != b.shape or a.size < 2:
         raise InputError("labelings must have equal length >= 2")
-    a = _validated_labels(a, a.size)
-    b = _validated_labels(b, b.size)
+    a = as_labels(a, a.size)
+    b = as_labels(b, b.size)
     N = a.size
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
@@ -148,7 +128,7 @@ def davies_bouldin(points, labels) -> float:
     +inf whenever two clusters share a centroid.  Lower is better.
     """
     P = as_matrix(points, "points")
-    labels = _validated_labels(labels, P.shape[0])
+    labels = as_labels(labels, P.shape[0])
     classes, centroids, scatter = _cluster_stats(P, labels)
     M = np.sqrt(squared_distance_matrix(centroids, centroids))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,7 +146,7 @@ def silhouette_mean(points, labels) -> float:
     where both means vanish.  Distances are built 256 rows at a time.
     """
     P = as_matrix(points, "points")
-    labels = _validated_labels(labels, P.shape[0])
+    labels = as_labels(labels, P.shape[0])
     classes, own = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise InputError("need at least two distinct labels")
@@ -195,7 +175,7 @@ def neighbor_purity(points, labels, k: int = DEFAULT_NEIGHBORS) -> float:
     ties), and the fraction sharing the center's label is averaged.
     """
     P = as_matrix(points, "points")
-    labels = _validated_labels(labels, P.shape[0])
+    labels = as_labels(labels, P.shape[0])
     k = check_int(k, "k", 1, P.shape[0] - 1)
     fractions = np.empty(P.shape[0])
     for rows, _, inside in _neighbor_balls(P, k):
@@ -214,6 +194,7 @@ def _lloyd(P: np.ndarray, sq_p: np.ndarray, centers: np.ndarray):
                 centers[c] = P[mask].mean(axis=0)
             else:
                 # Re-seed an empty cluster at the point farthest from its center.
+                _check_distinct(P, k)
                 d2 = np.min(_squared_distances(P, centers, sq_p), axis=1)
                 centers[c] = P[int(np.argmax(d2))]
         new_labels = np.argmin(_squared_distances(P, centers, sq_p), axis=1)
@@ -222,6 +203,13 @@ def _lloyd(P: np.ndarray, sq_p: np.ndarray, centers: np.ndarray):
         labels = new_labels
     wcss = float(((P - centers[labels]) ** 2).sum())
     return labels, wcss
+
+
+def _check_distinct(P: np.ndarray, k: int):
+    """InputError when P has fewer than k distinct rows; only the fallback paths pay for it."""
+    distinct = np.unique(P, axis=0).shape[0]
+    if distinct < k:
+        raise InputError(f"k={k} clusters need {k} distinct points, got {distinct}")
 
 
 def _seed_centers(P: np.ndarray, sq_p: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,6 +224,7 @@ def _seed_centers(P: np.ndarray, sq_p: np.ndarray, k: int, rng: np.random.Genera
         else:
             # All remaining mass sits on already-chosen points; take the
             # first index not yet used to keep the draw well-defined.
+            _check_distinct(P, k)
             rest = [i for i in range(N) if i not in chosen]
             chosen.append(rest[0] if rest else chosen[-1])
     return P[chosen].copy()
@@ -246,8 +235,9 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
 
     Restart r uses its own counter-based stream derived from (seed, r), so
     results are reproducible, and runs at most 200 Lloyd steps.  Empty
-    clusters are re-seeded at the point farthest from its assigned center.
-    Returns the labeling with the lowest within-cluster sum of squares.
+    clusters are re-seeded at the point farthest from its assigned center;
+    fewer than k distinct points raise InputError.  Returns the labeling
+    with the lowest within-cluster sum of squares.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0])

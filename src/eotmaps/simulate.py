@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix, as_matrix, check_int, check_real
+from .linalg import DataMatrix, as_labels, as_matrix, as_real, check_int, check_real
 
 _ROLE_LATENT = 0
 _ROLE_NUISANCE = 1
@@ -45,7 +45,13 @@ def _stream(seed, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class LatentSample:
-    """Latent points (count, r) plus class labels when the law has classes."""
+    """Latent points (count, r) plus class labels when the law has classes.
+
+    Points go through the matrix rule and labels through the label rule of
+    :mod:`eotmaps.linalg`: complex, text or non-finite points, and labels
+    that are not integers (integer-valued floats become int64) or do not
+    match the points, raise InputError.
+    """
 
     points: np.ndarray
     labels: np.ndarray | None = None
@@ -54,10 +60,7 @@ class LatentSample:
         pts = as_matrix(self.points, "latent points")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels)
-            if lab.shape != (pts.shape[0],) or not np.issubdtype(lab.dtype, np.integer):
-                raise InputError("labels must be an integer vector matching the points")
-            object.__setattr__(self, "labels", lab)
+            object.__setattr__(self, "labels", as_labels(self.labels, pts.shape[0]))
 
     @property
     def count(self) -> int:
@@ -158,10 +161,8 @@ class BandedGaussianNoise:
 
 
 def _check_basis(B: np.ndarray, p: int, name: str):
-    if B.ndim != 2 or B.shape[0] != p:
+    if B.shape[0] != p:
         raise InputError(f"{name} must be a (p, *) matrix, got {B.shape}")
-    if not np.isfinite(B).all():  # NaN > tol is False: the checks below would pass it
-        raise InputError(f"{name} contains non-finite entries")
     if B.shape[1] == 0:
         return
     if np.abs(B.T @ B - np.eye(B.shape[1])).max() > _ORTHO_TOL:
@@ -175,6 +176,9 @@ class ObservationModelConfig:
     nuisance1/nuisance2 may each be None (no nuisance), an explicit
     per-point array of coefficients, or a UniformNuisance law; noise1/noise2
     may each be None or a noise law with a ``sample(rng, count, p)`` method.
+    A complex, text or non-finite entry in nu1, nu2 or a basis raises
+    InputError naming it, as do a wrong shape, bases that are not
+    orthonormal or not mutually orthogonal, and a non-positive a1 or a2.
     """
 
     p: int
@@ -196,14 +200,14 @@ class ObservationModelConfig:
         check_int(self.p, "p", 1)
         check_int(self.r, "r", 1, self.p)
         for name in ("nu1", "nu2"):
-            nu = np.asarray(getattr(self, name), dtype=float)
-            if nu.shape != (self.p,) or not np.isfinite(nu).all():
+            nu = as_real(getattr(self, name), name, 1)
+            if nu.shape != (self.p,):
                 raise InputError(f"{name} must be a finite vector of length p={self.p}")
             object.__setattr__(self, name, nu)
         for name in ("a1", "a2"):
             object.__setattr__(self, name, check_real(getattr(self, name), name, 0, strict=True))
         names = ("U_basis", "V1_basis", "V2_basis")
-        U, V1, V2 = (np.asarray(getattr(self, name), dtype=float) for name in names)
+        U, V1, V2 = (as_real(getattr(self, name), name, 2) for name in names)
         if U.shape != (self.p, self.r):
             raise InputError(f"U_basis must be (p, r) = ({self.p}, {self.r}), got {U.shape}")
         for name, B in zip(names, (U, V1, V2)):
@@ -217,7 +221,12 @@ class ObservationModelConfig:
 
 
 def observe(latent: LatentSample, which: int, cfg: ObservationModelConfig) -> DataMatrix:
-    """Apply observation map ``which`` (1 or 2) of the model to latent points."""
+    """Apply observation map ``which`` (1 or 2) of the model to latent points.
+
+    An explicit nuisance array with complex, text or non-finite entries
+    raises InputError naming it (``nuisance1`` or ``nuisance2``); so do one
+    not of shape (count, dim V) and any nuisance with an empty V basis.
+    """
     if which not in (1, 2):
         raise InputError(f"which must be 1 or 2, got {which!r}")
     if not isinstance(latent, LatentSample):
@@ -239,14 +248,12 @@ def observe(latent: LatentSample, which: int, cfg: ObservationModelConfig) -> Da
         if isinstance(nuisance, UniformNuisance):
             z = nuisance.sample(_stream(cfg.seed, which, _ROLE_NUISANCE), count, V.shape[1])
         else:
-            z = np.asarray(nuisance, dtype=float)
+            z = as_real(nuisance, f"nuisance{which}", 2)
             if z.shape != (count, V.shape[1]):
                 raise InputError(
                     f"explicit nuisance for dataset {which} must have shape "
                     f"({count}, {V.shape[1]}), got {z.shape}"
                 )
-            if not np.isfinite(z).all():
-                raise InputError(f"nuisance{which} contains non-finite entries")
         M = M + z @ V.T
     if noise is not None:
         M = M + noise.sample(_stream(cfg.seed, which, _ROLE_NOISE), count, cfg.p)

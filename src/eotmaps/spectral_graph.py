@@ -23,6 +23,7 @@ import numpy as np
 
 from .embedding import SpectralModel
 from .errors import DimensionError, InputError, InvariantError, NumericalError
+from .linalg import as_real
 from .transport import TransportPlan
 
 DEFAULT_MAX_SIZE = 5000
@@ -138,15 +139,15 @@ def quadratic_form(ops: BipartiteOperators, f) -> float:
         (1/sqrt(mn)) * sum_ij (sqrt(m) f_i - sqrt(n) f_{m+j})^2 W_ij
 
     The two evaluations must agree to 1e-8 relative to the scale of the
-    form; disagreement raises NumericalError.
+    form; disagreement raises NumericalError.  An ``f`` that is not a real
+    vector of length m + n (complex, text or non-finite entries included)
+    raises InputError naming ``f``.
     """
     if not isinstance(ops, BipartiteOperators):
         raise InputError("ops must be a BipartiteOperators")
-    f = np.asarray(f, dtype=float)
+    f = as_real(f, "f", 1)
     if f.shape != (ops.m + ops.n,):
         raise InputError(f"f must have length {ops.m + ops.n}, got {f.shape}")
-    if not np.isfinite(f).all():
-        raise InputError("f contains non-finite entries")
 
     matrix_value = float(f @ (ops.L @ f))
 

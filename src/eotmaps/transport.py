@@ -371,7 +371,8 @@ def transport_plan(
     ``epsilon`` is either a positive number or ``"median"`` (bandwidth set to
     the median of all squared pairwise distances).  The plan has one row per
     point of X and one column per point of Y.  Running out of memory for the
-    m x n arrays raises InputError naming the size.
+    m x n arrays raises InputError naming the size, and an epsilon so small
+    that a squared distance over it overflows raises InputError naming it.
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -389,7 +390,12 @@ def transport_plan(
         D2 = squared_distance_matrix(A, B)
         if isinstance(epsilon, str):
             eps = median_bandwidth(D2)
-        logK = np.divide(D2, -eps, out=D2)  # in place; the same bits as -D2 / eps
+        try:
+            with np.errstate(over="raise"):
+                logK = np.divide(D2, -eps, out=D2)  # in place; the same bits as -D2 / eps
+        except FloatingPointError:
+            raise InputError(f"epsilon={eps!r} is too small: a squared distance over it "
+                             "overflows") from None
         plan = sinkhorn(logK, tol=tol, max_iter=max_iter, epsilon=eps)
     if tall:  # W.T is the transpose of a checked plan: set it without checking again
         object.__setattr__(plan, "W", plan.W.T)

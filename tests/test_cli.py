@@ -596,6 +596,29 @@ def test_evaluate_input_errors(workdir, tmp_path):
     assert r.returncode == 2 and "header" in r.stderr
 
 
+
+@pytest.mark.parametrize("rows,message", [
+    ("0,0,nan\n0,1,1\n1,0,2\n1,1,3\n", "contains non-finite entries"),
+    ("", "holds no rows"),
+], ids=["nan-coordinate", "header-only"])
+def test_evaluate_names_a_bad_embedding_file(tmp_path, rows, message):
+    emb, labels = tmp_path / "emb.csv", tmp_path / "labels.txt"
+    emb.write_text("dataset,point_index,coord_1\n" + rows)
+    labels.write_text("0\n1\n0\n1\n")
+    r = run_cli("evaluate", "--embedding", emb, "--metric", "db", "--labels", labels)
+    assert r.returncode == 2
+    assert f"error: {emb} {message}" in r.stderr
+
+
+def test_evaluate_rand_with_fewer_distinct_points_than_clusters_exits_2(tmp_path):
+    # three labels ask kmeans for three clusters, but the points sit at two locations
+    emb, labels = tmp_path / "emb.csv", tmp_path / "labels.txt"
+    emb.write_text("dataset,point_index,coord_1\n0,0,0\n0,1,0\n1,0,0\n1,1,1\n")
+    labels.write_text("0\n1\n2\n0\n")
+    r = run_cli("evaluate", "--embedding", emb, "--metric", "rand", "--labels", labels)
+    assert r.returncode == 2
+    assert "k=3 clusters need 3 distinct points, got 2" in r.stderr
+
 @pytest.mark.parametrize("first,message", [("0.5", "must be integers"), ("1e30", "must lie in the int64 range")])
 def test_evaluate_rejects_labels_it_cannot_hold(workdir, tmp_path, first, message):
     # 1e30 and 2e30 used to become -2^63 both, and rand scored them as one class

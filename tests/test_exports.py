@@ -91,3 +91,21 @@ def test_no_unreferenced_private_names():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert not [f"{where} {name}" for name, where in defined.items() if name not in referenced]
+
+
+def test_only_linalg_casts_arrays_to_float():
+    # linalg.as_real is the one rule for arrays a caller passes: an
+    # np.asarray(..., dtype=float) elsewhere would cast complex or text input
+    # that the rule rejects
+    casts = []
+    for path in sorted((ROOT / "src" / "eotmaps").glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("asarray", "array")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and any(kw.arg == "dtype" and isinstance(kw.value, ast.Name)
+                            and kw.value.id == "float" for kw in node.keywords)):
+                casts.append(f"{path.name}:{node.lineno}")
+    assert not casts

@@ -314,25 +314,24 @@ def test_kmeans_k_equals_n_is_exact():
     assert len(set(labels.tolist())) == 6
 
 
-def test_kmeans_on_duplicate_points_reseeds_and_falls_back(monkeypatch):
-    # three coincident points and one apart, k = 3: once both locations are
-    # chosen, every remaining point sits on a centre (zero seeding weight),
-    # so the seeding takes the first unused index, a second centre at 0;
-    # argmin gives the ties to the first, so its twin's cluster comes out
-    # empty and is re-seeded
+def test_kmeans_with_fewer_distinct_points_than_k_raises():
+    # three coincident points and one apart hold two locations, so k = 3
+    # cannot give three clusters; both fallbacks that duplicates reach, the
+    # seeding's zero-weight draw and Lloyd's re-seed of an empty cluster,
+    # count the distinct points and raise instead of returning two labels
     import eotmaps.metrics as metrics
 
-    seed_centers, seeded = metrics._seed_centers, []
-
-    def recorded(*args):
-        centers = seed_centers(*args)
-        seeded.append(centers.copy())
-        return centers
-
-    monkeypatch.setattr(metrics, "_seed_centers", recorded)
-    labels = kmeans([[0.0], [0.0], [0.0], [1.0]], 3)
-    assert all(sorted(c.ravel()) == [0.0, 0.0, 1.0] for c in seeded)
-    assert labels[0] == labels[1] == labels[2] != labels[3]
+    P = np.array([[0.0], [0.0], [0.0], [1.0]])
+    sq_p = (P**2).ravel()
+    message = "k=3 clusters need 3 distinct points, got 2"
+    with pytest.raises(InputError, match=message):
+        kmeans(P, 3)
+    with pytest.raises(InputError, match=message):
+        metrics._seed_centers(P, sq_p, 3, np.random.default_rng(0))
+    with pytest.raises(InputError, match=message):
+        metrics._lloyd(P, sq_p, np.array([[0.0], [0.0], [1.0]]))  # the twin centre's cluster is empty
+    labels = kmeans([[0.0], [0.0], [1.0], [2.0]], 3)  # duplicates, but k distinct points
+    assert labels[0] == labels[1] and len(set(labels.tolist())) == 3
 
 
 def test_kmeans_validation():

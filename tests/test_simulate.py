@@ -229,6 +229,90 @@ def test_non_finite_bases_and_nuisance_are_named():
         observe(LatentSample(points=np.zeros((3, 2))), 2, small_config(nuisance2=z))
 
 
+def _caller_arrays():
+    """Each converted argument: (name, a valid value, a call that passes it)."""
+    from eotmaps import LatentSample, build_operators, quadratic_form, select_dimension, sinkhorn
+
+    eye = np.eye(4)
+    wide_v1 = dict(V1_basis=eye[:, 2:3], V2_basis=eye[:, 3:])  # V1 non-empty, orthogonal to V2
+    ops = build_operators(sinkhorn(np.zeros((2, 3))))
+    lat = LatentSample(points=np.zeros((3, 2)))
+    return {
+        "s": (np.array([1.0, 0.5, 0.2]), select_dimension),
+        "f": (np.ones(5), lambda f: quadratic_form(ops, f)),
+        "nu1": (np.ones(4), lambda v: small_config(nu1=v)),
+        "nu2": (np.ones(4), lambda v: small_config(nu2=v)),
+        "U_basis": (eye[:, :2], lambda B: small_config(U_basis=B)),
+        "V1_basis": (eye[:, 2:3], lambda B: small_config(**{**wide_v1, "V1_basis": B})),
+        "V2_basis": (eye[:, 2:], lambda B: small_config(V2_basis=B)),
+        "nuisance2": (np.ones((3, 2)), lambda z: observe(lat, 2, small_config(nuisance2=z))),
+    }
+
+
+def _with_first_entry(good, make):
+    """``good`` as nested lists, its first entry replaced by ``make(entry)``."""
+    rows = good.tolist()
+    inner = rows[0] if good.ndim == 2 else rows
+    inner[0] = make(inner[0])
+    return rows
+
+
+def _complex_array(good):
+    bad = good.astype(complex)
+    bad.flat[0] += 1j
+    return bad
+
+
+def _nan_array(good):
+    bad = good.copy()
+    bad.flat[0] = np.nan
+    return bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a ComplexWarning is one
+@pytest.mark.parametrize("bad", ["complex-array", "complex-in-list", "text", "nan"])
+@pytest.mark.parametrize("name", ["s", "f", "nu1", "nu2", "U_basis", "V1_basis", "V2_basis",
+                                  "nuisance2"])
+def test_caller_arrays_are_checked_not_cast(name, bad):
+    # every array argument goes through linalg.as_real: complex values and
+    # text are never cast to float, and the error names the argument
+    good, call = _caller_arrays()[name]
+    call(good)
+    value = {
+        "complex-array": _complex_array,
+        "complex-in-list": lambda g: _with_first_entry(g, lambda x: complex(x, 1.0)),
+        "text": lambda g: _with_first_entry(g, str),  # "1.0" would parse, but is text
+        "nan": _nan_array,
+    }[bad](good)
+    message = "contains non-finite entries" if bad == "nan" else "must be a (vector|matrix) of real"
+    with pytest.raises(InputError, match=f"^{name} {message}"):
+        call(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("labels,message", [
+    (np.array([0, 1, 2 + 1j]), "must be integers"),
+    ([0, 1, 1j], "must be integers"),
+    (["0", "1", "2"], "must be integers"),
+    ([0.0, 1.0, np.nan], "must be integers"),
+    ([0.0, 0.5, 1.0], "must be integers"),
+    ([0.0, 1.0, 1e30], "must lie in the int64 range"),
+    ([0, 1], "must be a vector of length 3"),
+], ids=["complex-array", "complex-in-list", "text", "nan", "fraction", "beyond-int64", "length"])
+def test_latent_labels_follow_the_label_rule(labels, message):
+    from eotmaps import LatentSample
+
+    with pytest.raises(InputError, match=f"^labels {message}"):
+        LatentSample(points=np.zeros((3, 2)), labels=labels)
+
+
+def test_latent_labels_accept_integer_valued_floats():
+    from eotmaps import LatentSample
+
+    lat = LatentSample(points=np.zeros((3, 2)), labels=[2.0, 0.0, 5.0])
+    assert lat.labels.dtype == np.int64
+    np.testing.assert_array_equal(lat.labels, [2, 0, 5])
+
 def test_preset_setting1_wiring():
     pair = preset("setting1", m=8, n=11, p=7, seed=4, param=2.0)
     cfg = pair.config

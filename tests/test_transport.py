@@ -774,6 +774,16 @@ def test_transport_plan_explicit_epsilon_and_validation():
         transport_plan(X, Y, epsilon=None)
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transport_plan_names_an_epsilon_too_small_to_divide_by():
+    # D2 / 1e-320 overflows: the error names epsilon, which the caller
+    # passed, not the logK built from it, and leaks no overflow warning
+    X = RNG.normal(size=(6, 2))
+    Y = RNG.normal(size=(8, 2))
+    with pytest.raises(InputError, match=r"^epsilon=1e-320 is too small"):
+        transport_plan(X, Y, epsilon=1e-320)
+
 def test_transport_plan_out_of_memory_is_input_error(monkeypatch):
     def exhausted(A, B):
         raise MemoryError
