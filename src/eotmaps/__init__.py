@@ -47,14 +47,9 @@ _EXPORTS = {
     "truncation_bound": "diffusion",
     # simulate
     "LatentSample": "simulate",
-    "UniformNuisance": "simulate",
-    "GaussianNoise": "simulate",
-    "BandedGaussianNoise": "simulate",
-    "ObservationModelConfig": "simulate",
     "SimulatedPair": "simulate",
     "sample_torus": "simulate",
     "sample_gmm": "simulate",
-    "observe": "simulate",
     "preset": "simulate",
     # metrics
     "knn": "metrics",

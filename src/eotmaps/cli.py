@@ -31,6 +31,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 from .errors import InputError, NumericalError
 
@@ -51,20 +52,29 @@ def _apply_threads(threads: int | None):
         os.environ[var] = str(threads)
 
 
-def _read_matrix(path: str):
+def _loadtxt(path: str, **kwargs):
+    """``np.loadtxt`` of a CSV file as a 2-D array, without numpy's warning on a
+    file with no data rows: the callers report that file in their own error line."""
     import numpy as np
 
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
+
+
+def _read_matrix(path: str, dtype=float):
+    """The CSV matrix at ``path``; a float one goes through ``linalg.as_matrix``."""
     from . import linalg
 
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        arr = _loadtxt(path, dtype=dtype)
     except OSError:
         raise InputError(f"cannot read {path}")
     except ValueError as exc:
         raise InputError(f"{path} is not a numeric CSV matrix: {exc}")
     if arr.size == 0:
         raise InputError(f"{path} is empty")
-    return linalg.as_matrix(arr, path)
+    return linalg.as_matrix(arr, path) if dtype is float else arr
 
 
 def _write_matrix(path: str, arr, fmt=_FLOAT_FMT, header: str = ""):
@@ -74,15 +84,18 @@ def _write_matrix(path: str, arr, fmt=_FLOAT_FMT, header: str = ""):
 
 
 def _read_labels(path: str):
+    import numpy as np
+
     from . import linalg
 
-    flat = _read_matrix(path).ravel()
+    try:  # int64 first: read through float64, integers above 2^53 would merge
+        flat = _read_matrix(path, np.int64).ravel()
+    except InputError:  # integer-valued floats such as 1.0, and the float read's errors
+        flat = _read_matrix(path).ravel()
     return linalg.as_labels(flat, flat.size, f"labels in {path}")
 
 
 def _read_embedding(path: str):
-    import numpy as np
-
     from . import linalg
 
     try:
@@ -93,7 +106,7 @@ def _read_embedding(path: str):
     if not header.startswith("dataset,point_index,coord_1"):
         raise InputError(f"{path} does not look like an embedding file (bad header)")
     try:
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        arr = _loadtxt(path, skiprows=1)
     except ValueError as exc:
         raise InputError(f"{path} has malformed rows: {exc}")
     if arr.shape[0] == 0:

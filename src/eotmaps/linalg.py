@@ -9,10 +9,11 @@ through ``truncated_svd``, which decides each of these once:
   largest-magnitude entry made positive (the first, on ties), and its
   long-side partner flips with it, so ``u^T A v = s >= 0`` by construction
   and ``truncated_svd(A.T, k)`` is the exact mirror of ``truncated_svd(A, k)``;
-* one certificate: block subspace iteration (Halko, Martinsson & Tropp
-  2011, "Finding structure with randomness", SIAM Review) and then the
-  small-side Gram eigenpairs propose triplets, a proposal is kept only when
-  its two-sided residual passes, and a thin dense SVD serves the rest.
+* one order of paths: block subspace iteration (Halko, Martinsson & Tropp
+  2011, "Finding structure with randomness", SIAM Review), which returns
+  only once its own residual is at the rounding floor, then the small-side
+  Gram eigenpairs, kept only when their two-sided residual passes a
+  certificate, and a thin dense SVD for the rest.
 
 Triplets come out in descending order, bitwise reproducible on identical input.
 """
@@ -45,7 +46,7 @@ _START_KEY = 2011  # Philox key of the start block
 # The k-th vector's error grows like this residual over its gap to s_{k+1}.
 _STOP_TOL = 1e-14
 _FLOOR_TOL = 1e-12
-_CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 an iterative proposal must meet
+_CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 the Gram triplets must meet
 # QR first from N >= 1.2 r: at r = 1000, 1 BLAS thread, it took 1.12x the plain
 # SVD's time at N = r, 1.00x at 1.1 r, 0.93x at 1.2 r and 0.70x at 5 r.
 _QR_FIRST_ASPECT = 1.2
@@ -182,7 +183,7 @@ def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
     is made positive, and v flips with u; entries within a relative _TIE_TOL
     of that magnitude count as tied, and the first of them decides.  Every
     path hands over pairs with u^T W v = s >= 0 (W = U S V^T on the dense
-    path; W^T u = s v by construction and the two-sided certificate on the
+    path; W^T u = s v by construction and a small W v - s u on the
     others), and a joint flip keeps that product, so no check against
     W is needed.  At or below SINGULAR_FLOOR the product carries no sign
     information, so v gets the largest-entry rule independently.
@@ -269,7 +270,9 @@ def _small_side_gram(A: np.ndarray, k: int):
 def _gram_svd(W: np.ndarray, k: int):
     """Leading k triplets and s_{k+1} of a wide W from eigh(W W^T), long side W^T u / s, or None.
 
-    W W^T rounds at about eps * s_1^2, so values near sqrt(eps) * s_1 fail the certificate.
+    None too unless ||W v - s u|| and ||W^T u - s v|| are at most 1e-10 * s_1
+    for every triplet: W W^T rounds at about eps * s_1^2, so values near
+    sqrt(eps) * s_1 fail this certificate.
     """
     try:
         lam, Z, WtZ = _small_side_gram(W, k)
@@ -278,7 +281,10 @@ def _gram_svd(W: np.ndarray, k: int):
     if not lam[k - 1] > 0.0:
         return None
     s = np.sqrt(lam[:k])
-    return s, Z[:, :k], WtZ / s, np.sqrt(max(lam[k], 0.0))
+    U, V = Z[:, :k], WtZ / s
+    if not _residual(W, s, U, V) <= _CERTIFICATE_TOL * s[0]:
+        return None
+    return s, U, V, np.sqrt(max(lam[k], 0.0))
 
 
 def singular_values(A: np.ndarray, block=None) -> np.ndarray:
@@ -286,9 +292,10 @@ def singular_values(A: np.ndarray, block=None) -> np.ndarray:
 
     ``block`` is an optional pair (U, V) of A's leading k singular vectors,
     U with A's rows and V with its columns (a SpectralModel's, say); only the
-    short side, W's left vectors, is read.  With a block and 0 < k < r, the
-    deflated path runs: two subspace steps refine the block against W, its
-    k values come from the SVD of P^T W, and the rest are the square roots
+    short side, W's left vectors, is read, through :func:`as_real` as
+    "block".  With a block and 0 < k < r, the deflated path runs: two
+    subspace steps refine the block against W, its k values come from the
+    SVD of P^T W, and the rest are the square roots
     of the r - k largest eigenvalues of W' W'^T, where W' = (I - P P^T) W
     (Golub & Van Loan 2013, section 8.6; Saad 2011, ch. 4).  The Gram
     matrix then rounds at eps * s_{k+1}^2, not eps * s_1^2.  Its values are
@@ -314,7 +321,7 @@ def singular_values(A: np.ndarray, block=None) -> np.ndarray:
     W = _wide(A)
     with fits_in_memory(A.shape):
         if block is not None:
-            s = _deflated_values(W, np.asarray(block[0] if W is A else block[1], dtype=float))
+            s = _deflated_values(W, as_real(block[0] if W is A else block[1], "block", 2))
             if s is not None:
                 return s
         if W.shape[1] >= _QR_FIRST_ASPECT * W.shape[0]:
@@ -328,7 +335,7 @@ def _deflated_values(W: np.ndarray, P: np.ndarray):
     None when P has no column, or all r of them, or when a check of
     :func:`singular_values` fails.
     """
-    if P.ndim != 2 or P.shape[0] != W.shape[0]:
+    if P.shape[0] != W.shape[0]:
         raise InputError(f"the block's short-side vectors must form a {W.shape[0]} x k matrix, "
                          f"got shape {P.shape}")
     r, k = P.shape
@@ -413,17 +420,18 @@ def truncated_svd(A, k: int):
         (k+1)-th Ritz value, never above it up to rounding); None at k = min(m, n)
 
     Every path factors the wide orientation W (A, or A^T when A is tall).
-    With r = min(m, n) and 4 * (k + 4) <= r, two iterative paths propose
-    triplets in turn: block subspace iteration with k + 4 vectors from a
-    fixed Philox start (it stops at ||W v - s u|| <= 1e-14 * s_1, or below
-    1e-12 * s_1 once that stops falling, and hands off when its residuals
-    contract too slowly to beat one r-column pass over W), then the
-    eigenpairs of the r x r Gram matrix W W^T.  The first proposal whose
-    ||W v - s u|| and ||W^T u - s v|| are at most 1e-10 * s_1 is returned;
-    otherwise a thin dense SVD of W, sliced, serves the call.  The
-    certificate bounds the backward error, so a vector's error can reach
-    the residual over its gap to the neighbouring values (about 1e-6 for
-    nearly tied small values).  Running out of memory raises InputError.
+    With r = min(m, n) and 4 * (k + 4) <= r, two iterative paths are tried
+    in turn: block subspace iteration with k + 4 vectors from a fixed
+    Philox start (it returns once ||W v - s u|| <= 1e-14 * s_1, or below
+    1e-12 * s_1 once that stops falling, with W^T u = s v by construction,
+    and hands off when its residuals contract too slowly to beat one
+    r-column pass over W), then the eigenpairs of the r x r Gram matrix
+    W W^T, kept only when ||W v - s u|| and ||W^T u - s v|| are at most
+    1e-10 * s_1.  The first path that returns triplets serves the call;
+    otherwise a thin dense SVD of W, sliced, does.  These residuals bound
+    the backward error, so a vector's error can reach the residual over its
+    gap to the neighbouring values (about 1e-6 for nearly tied small
+    values).  Running out of memory raises InputError.
 
     Signs are fixed on W's left vectors, the short side, before the factors
     are mapped back: for non-square A, ``truncated_svd(A.T, k)`` returns
@@ -435,14 +443,8 @@ def truncated_svd(A, k: int):
     W = _wide(A)
 
     iterative = _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n)
-    proposals = (lambda: _subspace_svd(W, k)[0], lambda: _gram_svd(W, k)) if iterative else ()
     with fits_in_memory(A.shape):
-        for propose in proposals:
-            proposal = propose()
-            if proposal and _residual(W, *proposal[:3]) <= _CERTIFICATE_TOL * proposal[0][0]:
-                break
-        else:
-            proposal = _dense_svd(W, k)
+        proposal = iterative and (_subspace_svd(W, k)[0] or _gram_svd(W, k)) or _dense_svd(W, k)
     s, U, V = (np.ascontiguousarray(x) for x in proposal[:3])
     _fix_singular_signs(s, U, V)
 

@@ -1,15 +1,14 @@
 """Synthetic two-sample generators: shared latent structure, per-dataset corruption.
 
-Both clouds are driven by the same low-dimensional latent law and observed
-through dataset-specific linear maps,
+The three presets (:func:`preset`) draw both clouds from one low-dimensional
+latent law and observe each through its own map of the model
 
-    x_i = nu1 + a1 * U xbar_i + V1 z1_i + eta1_i
-    y_j = nu2 + a2 * U ybar_j + V2 z2_j + eta2_j,
+    x = nu + a * U xbar + V z + eta,
 
-where U, V1, V2 have orthonormal, mutually orthogonal columns: U carries the
-shared signal, V1/V2 carry per-dataset nuisance directions, and eta is
-additive Gaussian noise (optionally heteroskedastic).  Three presets wire
-this up with a torus or Gaussian-mixture latent law.
+where U = (e_1..e_r) carries the shared signal, V = (e_{r+1}..e_p) carries
+i.i.d. uniform nuisance coordinates z, and eta is Gaussian noise,
+heteroskedastic in bands on some clouds; each cloud has its own shift nu,
+scale a, nuisance range and noise.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (seed, dataset, role), so outputs are bitwise reproducible and independent
@@ -23,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix, as_labels, as_matrix, as_real, check_int, check_real
+from .linalg import DataMatrix, as_labels, as_matrix, check_int, check_real
 
 _ROLE_LATENT = 0
 _ROLE_NUISANCE = 1
 _ROLE_NOISE = 2
-
-_ORTHO_TOL = 1e-10
 
 TORUS_MAJOR = 2.0
 TORUS_MINOR = 0.8
@@ -96,167 +93,42 @@ def sample_gmm(count: int, seed, dataset: int = 1) -> LatentSample:
     return LatentSample(points=pts, labels=labels)
 
 
-@dataclass(frozen=True)
-class UniformNuisance:
-    """I.i.d. U[low, high] nuisance coordinates, one per column of the V basis."""
-
-    low: float
-    high: float
-
-    def __post_init__(self):
-        low = check_real(self.low, "low")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", check_real(self.high, "high", low))
-
-    def sample(self, rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=(count, dim))
-
-
-@dataclass(frozen=True)
-class GaussianNoise:
-    """Homoskedastic N(0, sigma^2) noise on every coordinate."""
-
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0))
-
-    def std_map(self, count: int, p: int) -> np.ndarray:
-        return np.full((count, p), self.sigma)
-
-    def sample(self, rng: np.random.Generator, count: int, p: int) -> np.ndarray:
-        return rng.standard_normal((count, p)) * self.std_map(count, p)
-
-
-@dataclass(frozen=True)
-class BandedGaussianNoise:
-    """Heteroskedastic Gaussian noise in point/coordinate bands.
+def _noise_std(count: int, p: int, sigma: float, r: int) -> np.ndarray:
+    """Per-entry noise std: sigma, raised in two point/coordinate bands.
 
     With 1-based point index j of ``count`` points and coordinate index k:
     variance 10*sigma^2 when j <= floor(count/3) and 2 <= k <= r; variance
     5*sigma^2 when count/3 < j <= floor(2*count/3) and 1 <= k <= r; variance
     sigma^2 elsewhere.  (Coordinate 1 is deliberately excluded from the
-    first band but included in the second.)
+    first band but included in the second.)  r = 0 gives sigma everywhere.
     """
-
-    sigma: float
-    r: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0))
-        check_int(self.r, "r", 1)
-
-    def std_map(self, count: int, p: int) -> np.ndarray:
-        std = np.full((count, p), self.sigma)
-        j = np.arange(1, count + 1)[:, None]
-        k = np.arange(1, p + 1)[None, :]
-        band1 = (j <= count // 3) & (k >= 2) & (k <= self.r)
-        band2 = (3 * j > count) & (j <= (2 * count) // 3) & (k <= self.r)
-        std[band1] = np.sqrt(10.0) * self.sigma
-        std[band2] = np.sqrt(5.0) * self.sigma
-        return std
-
-    def sample(self, rng: np.random.Generator, count: int, p: int) -> np.ndarray:
-        return rng.standard_normal((count, p)) * self.std_map(count, p)
+    std = np.full((count, p), sigma)
+    std[: count // 3, 1:r] = np.sqrt(10.0) * sigma
+    std[count // 3 : (2 * count) // 3, :r] = np.sqrt(5.0) * sigma
+    return std
 
 
-def _check_basis(B: np.ndarray, p: int, name: str):
-    if B.shape[0] != p:
-        raise InputError(f"{name} must be a (p, *) matrix, got {B.shape}")
-    if B.shape[1] == 0:
-        return
-    if np.abs(B.T @ B - np.eye(B.shape[1])).max() > _ORTHO_TOL:
-        raise InputError(f"{name} columns are not orthonormal")
+def _draw_cloud(points, dataset, seed, nu, a, sigma, bands=0, nuisance=None) -> DataMatrix:
+    """One cloud of the model: nu + a * points U^T + z V^T + eta.
 
-
-@dataclass(frozen=True)
-class ObservationModelConfig:
-    """Full description of the two observation maps.
-
-    nuisance1/nuisance2 may each be None (no nuisance), an explicit
-    per-point array of coefficients, or a UniformNuisance law; noise1/noise2
-    may each be None or a noise law with a ``sample(rng, count, p)`` method.
-    A complex, text or non-finite entry in nu1, nu2 or a basis raises
-    InputError naming it, as do a wrong shape, bases that are not
-    orthonormal or not mutually orthogonal, and a non-positive a1 or a2.
+    U = (e_1..e_r) and V = (e_{r+1}..e_p) for r latent and p = len(nu)
+    observed dimensions; z is i.i.d. U[low, high] for ``nuisance`` = (low,
+    high), absent for None; eta is Gaussian with the std map
+    ``_noise_std(count, p, sigma, bands)``.  z and eta come from the
+    (seed, dataset) streams of their roles.
     """
-
-    p: int
-    r: int
-    nu1: np.ndarray
-    nu2: np.ndarray
-    a1: float
-    a2: float
-    U_basis: np.ndarray
-    V1_basis: np.ndarray
-    V2_basis: np.ndarray
-    nuisance1: object = None
-    nuisance2: object = None
-    noise1: object = None
-    noise2: object = None
-    seed: int = 0
-
-    def __post_init__(self):
-        check_int(self.p, "p", 1)
-        check_int(self.r, "r", 1, self.p)
-        for name in ("nu1", "nu2"):
-            nu = as_real(getattr(self, name), name, 1)
-            if nu.shape != (self.p,):
-                raise InputError(f"{name} must be a finite vector of length p={self.p}")
-            object.__setattr__(self, name, nu)
-        for name in ("a1", "a2"):
-            object.__setattr__(self, name, check_real(getattr(self, name), name, 0, strict=True))
-        names = ("U_basis", "V1_basis", "V2_basis")
-        U, V1, V2 = (as_real(getattr(self, name), name, 2) for name in names)
-        if U.shape != (self.p, self.r):
-            raise InputError(f"U_basis must be (p, r) = ({self.p}, {self.r}), got {U.shape}")
-        for name, B in zip(names, (U, V1, V2)):
-            _check_basis(B, self.p, name)
-            object.__setattr__(self, name, B)
-        for A, B, pair in ((U, V1, "U_basis/V1_basis"), (U, V2, "U_basis/V2_basis"),
-                           (V1, V2, "V1_basis/V2_basis")):
-            if A.shape[1] and B.shape[1] and np.abs(A.T @ B).max() > _ORTHO_TOL:
-                raise InputError(f"{pair} are not mutually orthogonal")
-        check_int(self.seed, "seed", 0)
-
-
-def observe(latent: LatentSample, which: int, cfg: ObservationModelConfig) -> DataMatrix:
-    """Apply observation map ``which`` (1 or 2) of the model to latent points.
-
-    An explicit nuisance array with complex, text or non-finite entries
-    raises InputError naming it (``nuisance1`` or ``nuisance2``); so do one
-    not of shape (count, dim V) and any nuisance with an empty V basis.
-    """
-    if which not in (1, 2):
-        raise InputError(f"which must be 1 or 2, got {which!r}")
-    if not isinstance(latent, LatentSample):
-        raise InputError("latent must be a LatentSample")
-    if latent.r != cfg.r:
-        raise InputError(f"latent dimension {latent.r} does not match the model's r={cfg.r}")
-
-    nu = cfg.nu1 if which == 1 else cfg.nu2
-    a = cfg.a1 if which == 1 else cfg.a2
-    V = cfg.V1_basis if which == 1 else cfg.V2_basis
-    nuisance = cfg.nuisance1 if which == 1 else cfg.nuisance2
-    noise = cfg.noise1 if which == 1 else cfg.noise2
-    count = latent.count
-
-    M = nu[None, :] + a * (latent.points @ cfg.U_basis.T)
+    count, r = points.shape
+    p = nu.size
+    eye = np.eye(p)
+    M = nu[None, :] + a * (points @ eye[:, :r].T)
     if nuisance is not None:
-        if V.shape[1] == 0:
-            raise InputError(f"dataset {which} has nuisance values but an empty V basis")
-        if isinstance(nuisance, UniformNuisance):
-            z = nuisance.sample(_stream(cfg.seed, which, _ROLE_NUISANCE), count, V.shape[1])
-        else:
-            z = as_real(nuisance, f"nuisance{which}", 2)
-            if z.shape != (count, V.shape[1]):
-                raise InputError(
-                    f"explicit nuisance for dataset {which} must have shape "
-                    f"({count}, {V.shape[1]}), got {z.shape}"
-                )
+        # a large setting2 gamma overflows the range: InputError, not numpy's OverflowError
+        low, high = check_real(nuisance[0], "low"), check_real(nuisance[1], "high")
+        V = eye[:, r:]
+        z = _stream(seed, dataset, _ROLE_NUISANCE).uniform(low, high, size=(count, V.shape[1]))
         M = M + z @ V.T
-    if noise is not None:
-        M = M + noise.sample(_stream(cfg.seed, which, _ROLE_NOISE), count, cfg.p)
+    noise = _stream(seed, dataset, _ROLE_NOISE).standard_normal((count, p))
+    M = M + noise * _noise_std(count, p, sigma, bands)
     return DataMatrix(M)
 
 
@@ -270,7 +142,6 @@ class SimulatedPair:
     latent_y: LatentSample
     name: str
     param: float
-    config: ObservationModelConfig
 
     @property
     def pooled_latent(self) -> np.ndarray:
@@ -314,44 +185,31 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
     eye = np.eye(p)
     if name == "clustering":
         theta = param
-        nu1, a1, a2 = 15.0 * (eye[:, 0] + eye[:, 1]), theta, theta
-        nuisance2 = UniformNuisance(theta / 2.0, theta)
-        noise1, noise2 = GaussianNoise(1.0), BandedGaussianNoise(1.0, r)
+        nu1, a1, a2, sigma = 15.0 * (eye[:, 0] + eye[:, 1]), theta, theta, 1.0
+        nuisance2, bands2 = (theta / 2.0, theta), r
         sample = sample_gmm
     else:
         theta = 13.0
         sigma = 0.05 * theta
         tau = param if name == "setting1" else 1.0
         nu1, a1, a2 = tau * 3.0 * theta * eye[:, 0], 3.0 * theta, theta
-        nuisance2, noise1, noise2 = None, GaussianNoise(sigma), GaussianNoise(sigma)
+        nuisance2, bands2 = None, 0
         if name == "setting2":  # param is gamma
-            nuisance2 = UniformNuisance(param * theta / 2.0, param * theta)
-            noise2 = BandedGaussianNoise(sigma, r)
+            nuisance2, bands2 = (param * theta / 2.0, param * theta), r
         sample = sample_torus
-    cfg = ObservationModelConfig(
-        p=p, r=r, nu1=nu1, nu2=np.zeros(p), a1=a1, a2=a2,
-        U_basis=eye[:, :r], V1_basis=eye[:, :0], V2_basis=eye[:, r:],
-        nuisance2=nuisance2, noise1=noise1, noise2=noise2, seed=seed,
-    )
     lat_x = sample(m, seed, dataset=1)
     lat_y = sample(n, seed, dataset=2)
 
-    X = observe(lat_x, 1, cfg)
-    Y = observe(lat_y, 2, cfg)
-    return SimulatedPair(X=X, Y=Y, latent_x=lat_x, latent_y=lat_y,
-                         name=name, param=param, config=cfg)
+    X = _draw_cloud(lat_x.points, 1, seed, nu1, a1, sigma)
+    Y = _draw_cloud(lat_y.points, 2, seed, np.zeros(p), a2, sigma, bands2, nuisance2)
+    return SimulatedPair(X=X, Y=Y, latent_x=lat_x, latent_y=lat_y, name=name, param=param)
 
 
 __all__ = [
     "LatentSample",
-    "UniformNuisance",
-    "GaussianNoise",
-    "BandedGaussianNoise",
-    "ObservationModelConfig",
     "SimulatedPair",
     "sample_torus",
     "sample_gmm",
-    "observe",
     "preset",
     "PRESET_NAMES",
 ]

@@ -75,9 +75,8 @@ def svd_paths(monkeypatch):
         original = getattr(linalg, f"_{name}_svd")
         monkeypatch.setattr(linalg, f"_{name}_svd", spy(name, original, proposes))
 
-    # truncated_svd fixes signs once, on the triplets it returns.  A rejected
-    # proposal is always followed by another path, and the dense one always
-    # proposes, so the last proposal before that step is the one served.
+    # truncated_svd fixes signs once, on the triplets it returns, and serves
+    # the first path that proposes (the dense one always does).
     fix_signs = linalg._fix_singular_signs
 
     def served(s, U, V):

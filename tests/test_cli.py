@@ -271,6 +271,14 @@ def test_embed_input_errors(tmp_path, workdir):
     )
     assert r.returncode == 2
 
+    (tmp_path / "empty.csv").write_text("")
+    r = run_cli(
+        "embed", "--in-x", tmp_path / "empty.csv", "--in-y", workdir / "Y.csv",
+        "--out-embedding", tmp_path / "e.csv", "--out-spectrum", tmp_path / "s.csv",
+    )
+    assert r.returncode == 2
+    assert r.stderr == f"error: {tmp_path / 'empty.csv'} is empty\n"  # no loadtxt warning
+
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_input_exits_2(tmp_path, workdir, value):
@@ -607,7 +615,7 @@ def test_evaluate_names_a_bad_embedding_file(tmp_path, rows, message):
     labels.write_text("0\n1\n0\n1\n")
     r = run_cli("evaluate", "--embedding", emb, "--metric", "db", "--labels", labels)
     assert r.returncode == 2
-    assert f"error: {emb} {message}" in r.stderr
+    assert r.stderr == f"error: {emb} {message}\n"  # no loadtxt warning ahead of it
 
 
 def test_evaluate_rand_with_fewer_distinct_points_than_clusters_exits_2(tmp_path):
@@ -630,6 +638,37 @@ def test_evaluate_rejects_labels_it_cannot_hold(workdir, tmp_path, first, messag
     )
     assert r.returncode == 2
     assert f"labels in {labels} {message}" in r.stderr
+
+
+def test_evaluate_reads_labels_exactly(tmp_path):
+    # 2^53 and 2^53 + 1 are one float64: read through floats they became one
+    # class, and rand asked kmeans for a single cluster
+    emb = tmp_path / "emb.csv"
+    emb.write_text("dataset,point_index,coord_1\n0,0,0\n0,1,0.1\n1,0,5\n1,1,5.1\n")
+    values = []
+    for name, rows in [("exact", ["9007199254740992", "9007199254740993"]),
+                       ("small", ["0", "1"]), ("float", ["0.0", "1.0"])]:
+        labels = tmp_path / f"{name}.txt"
+        labels.write_text("\n".join(rows[:1] * 2 + rows[1:] * 2) + "\n")
+        r = run_cli("evaluate", "--embedding", emb, "--metric", "rand", "--labels", labels)
+        assert r.returncode == 0, r.stderr
+        values.append(json.loads(r.stdout))
+    assert values[0] == values[1] == values[2]
+    assert values[0]["params"]["clusters"] == 2 and values[0]["value"] == 1.0
+
+
+@pytest.mark.parametrize("command,required", [
+    ("embed", ["--out-embedding", "e.csv", "--out-spectrum", "s.csv"]),
+    ("distances", ["--t", "1", "--pairs", "p.csv", "--out", "d.csv"]),
+], ids=["embed", "distances"])
+def test_plan_flag_defaults_are_the_library_defaults(command, required):
+    # build_parser spells the defaults out, since it may not import numpy
+    # before --threads is applied
+    from eotmaps import cli, transport
+
+    args = cli.build_parser().parse_args([command, "--in-x", "x.csv", "--in-y", "y.csv", *required])
+    assert args.tol == transport.DEFAULT_TOL
+    assert args.max_iter == transport.DEFAULT_MAX_ITER
 
 
 def test_distances_roundtrip_and_values(workdir, tmp_path):

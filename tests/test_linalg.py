@@ -516,6 +516,17 @@ def test_deflation_block_must_match_the_short_side():
         linalg.singular_values(A, (np.ones((9, 2)), np.ones((6, 2))))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a ComplexWarning is one
+def test_deflation_block_is_checked_not_cast():
+    # complex values are refused, not cut to their real part with a ComplexWarning
+    A = RNG.normal(size=(20, 30))
+    U, V = truncated_svd(A, 3)[1:]
+    with pytest.raises(InputError, match="^block must be a matrix of real numbers"):
+        linalg.singular_values(A, (U + 0.5j, V))
+    with pytest.raises(InputError, match="^block contains non-finite entries"):
+        linalg.singular_values(A, (np.full_like(U, np.nan), V))
+
+
 _CHILD = """
 import sys
 import numpy as np
@@ -549,11 +560,16 @@ def test_svd_gram_path_agrees_across_thread_counts(plans, tmp_path):
         np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-12)
 
 
-def test_svd_subspace_certificate_failure_goes_dense(plans, svd_paths, monkeypatch):
-    # a certificate no proposal can meet: every call is served by the dense SVD
+def test_svd_certificate_guards_only_the_gram_path(plans, svd_paths, monkeypatch):
+    # a certificate no triplets can meet: the subspace loop returns only at
+    # its rounding floor, so it still serves; once it hands off, the Gram
+    # triplets are refused and the dense SVD serves
     monkeypatch.setattr(linalg, "_CERTIFICATE_TOL", 0.0)
     s, U, V = truncated_svd(plans["square"], 5)
-    assert svd_paths == ["dense"]
+    assert linalg._residual(plans["square"], s, U, V) <= 1e-12 * s[0]
+    monkeypatch.setattr(linalg, "_subspace_svd", lambda W, k: (None, 1))
+    s, U, V = truncated_svd(plans["square"], 5)
+    assert svd_paths == ["subspace", "dense"]
     s_full, U_full, V_full = truncated_svd(plans["square"], 300)
     np.testing.assert_array_equal(s, s_full[:5])
     np.testing.assert_array_equal(U, U_full[:, :5])
