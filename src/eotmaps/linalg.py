@@ -12,8 +12,9 @@ through ``truncated_svd``, which decides each of these once:
 * one order of paths: block subspace iteration (Halko, Martinsson & Tropp
   2011, "Finding structure with randomness", SIAM Review), which returns
   only once its own residual is at the rounding floor, then the small-side
-  Gram eigenpairs, kept only when their two-sided residual passes a
-  certificate, and a thin dense SVD for the rest.
+  Gram eigenpairs, kept only when they pass a certificate, and a thin
+  dense SVD for the rest.  W^T u = s v holds by construction on every
+  path, so each residual and certificate reads ||W v - s u|| alone.
 
 Triplets come out in descending order, bitwise reproducible on identical input.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,10 @@ _TIE_TOL = 1e-12
 _OVERSAMPLE = 4
 _SUBSPACE_RATIO = 4
 _START_KEY = 2011  # Philox key of the start block
-# The iteration stops once max ||W v - s u|| / s_1 is at most _STOP_TOL, or
-# once it is at most _FLOOR_TOL and no longer falls (rounding floor reached).
+# The iteration stops once max ||W v - s u|| / s_1 is at most _STOP_TOL.
 # The k-th vector's error grows like this residual over its gap to s_{k+1}.
 _STOP_TOL = 1e-14
-_FLOOR_TOL = 1e-12
-_CERTIFICATE_TOL = 1e-10  # two-sided residual / s_1 the Gram triplets must meet
+_CERTIFICATE_TOL = 1e-10  # max ||W v - s u|| / s_1 the Gram triplets must meet
 # QR first from N >= 1.2 r: at r = 1000, 1 BLAS thread, it took 1.12x the plain
 # SVD's time at N = r, 1.00x at 1.1 r, 0.93x at 1.2 r and 0.70x at 5 r.
 _QR_FIRST_ASPECT = 1.2
@@ -226,8 +225,7 @@ def _subspace_svd(W: np.ndarray, k: int):
         WQ = W @ Q
         if s is not None:
             residual = np.linalg.norm(WQ @ Vs - U * s, axis=0).max()
-            stalled = residuals and residuals[-1] <= residual <= _FLOOR_TOL * s[0]
-            if residual <= _STOP_TOL * s[0] or stalled:
+            if residual <= _STOP_TOL * s[0]:
                 break
             residuals.append(residual)
             if len(residuals) >= 3:
@@ -270,9 +268,9 @@ def _small_side_gram(A: np.ndarray, k: int):
 def _gram_svd(W: np.ndarray, k: int):
     """Leading k triplets and s_{k+1} of a wide W from eigh(W W^T), long side W^T u / s, or None.
 
-    None too unless ||W v - s u|| and ||W^T u - s v|| are at most 1e-10 * s_1
-    for every triplet: W W^T rounds at about eps * s_1^2, so values near
-    sqrt(eps) * s_1 fail this certificate.
+    None too unless ||W v - s u|| is at most 1e-10 * s_1 for every triplet
+    (W^T u = s v holds by construction): W W^T rounds at about eps * s_1^2,
+    so values near sqrt(eps) * s_1 fail this certificate.
     """
     try:
         lam, Z, WtZ = _small_side_gram(W, k)
@@ -299,8 +297,8 @@ def singular_values(A: np.ndarray, block=None) -> np.ndarray:
     of the r - k largest eigenvalues of W' W'^T, where W' = (I - P P^T) W
     (Golub & Van Loan 2013, section 8.6; Saad 2011, ch. 4).  The Gram
     matrix then rounds at eps * s_{k+1}^2, not eps * s_1^2.  Its values are
-    kept only when three checks pass: (a) the refined block's two-sided
-    residual is at most 4 eps * s_1; (b) the bound eps * s_{k+1}^2 / s_r on
+    kept only when three checks pass: (a) the refined block's residual
+    ||W v - s u|| is at most 4 eps * s_1; (b) the bound eps * s_{k+1}^2 / s_r on
     the deflated values' error is at most 4 eps * s_1; (c) s_k >= 2 s_{k+1}.
     (b) and (c) are first tried against rho <= s_{k+1}^2 from three power
     steps on W', (b) by a Cholesky factorization of the leading half of
@@ -387,11 +385,8 @@ def _dense_svd(W: np.ndarray, k: int):
 
 
 def _residual(W: np.ndarray, s: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
-    """Largest ||W v - s u|| or ||W^T u - s v|| over the triplets."""
-    return max(
-        np.linalg.norm(W @ V - U * s, axis=0).max(),
-        np.linalg.norm((U.T @ W).T - V * s, axis=0).max(),
-    )
+    """Largest ||W v - s u|| over the triplets."""
+    return np.linalg.norm(W @ V - U * s, axis=0).max()
 
 
 class Triplets(tuple):
@@ -422,16 +417,16 @@ def truncated_svd(A, k: int):
     Every path factors the wide orientation W (A, or A^T when A is tall).
     With r = min(m, n) and 4 * (k + 4) <= r, two iterative paths are tried
     in turn: block subspace iteration with k + 4 vectors from a fixed
-    Philox start (it returns once ||W v - s u|| <= 1e-14 * s_1, or below
-    1e-12 * s_1 once that stops falling, with W^T u = s v by construction,
-    and hands off when its residuals contract too slowly to beat one
-    r-column pass over W), then the eigenpairs of the r x r Gram matrix
-    W W^T, kept only when ||W v - s u|| and ||W^T u - s v|| are at most
-    1e-10 * s_1.  The first path that returns triplets serves the call;
-    otherwise a thin dense SVD of W, sliced, does.  These residuals bound
-    the backward error, so a vector's error can reach the residual over its
-    gap to the neighbouring values (about 1e-6 for nearly tied small
-    values).  Running out of memory raises InputError.
+    Philox start (it returns once ||W v - s u|| <= 1e-14 * s_1, and hands
+    off when its residuals contract too slowly to beat one r-column pass
+    over W), then the eigenpairs of the r x r Gram matrix W W^T, kept only
+    when ||W v - s u|| <= 1e-10 * s_1.  Both have W^T u = s v by
+    construction, and both decline an input they overflow, silently.  The
+    first path that returns triplets serves the call; otherwise a thin
+    dense SVD of W, sliced, does.  These residuals bound the backward
+    error, so a vector's error can reach the residual over its gap to the
+    neighbouring values (about 1e-6 for nearly tied small values).  Running
+    out of memory raises InputError, and s_1 beyond float64 NumericalError.
 
     Signs are fixed on W's left vectors, the short side, before the factors
     are mapped back: for non-square A, ``truncated_svd(A.T, k)`` returns
@@ -442,9 +437,13 @@ def truncated_svd(A, k: int):
     k = check_int(k, "k", 1, min(m, n))
     W = _wide(A)
 
-    iterative = _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n)
+    proposal = None
     with fits_in_memory(A.shape):
-        proposal = iterative and (_subspace_svd(W, k)[0] or _gram_svd(W, k)) or _dense_svd(W, k)
+        if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
+            # an overflow fails every residual check, or LAPACK on an overflowed block
+            with np.errstate(over="ignore", invalid="ignore"), suppress(np.linalg.LinAlgError):
+                proposal = _subspace_svd(W, k)[0] or _gram_svd(W, k)
+        proposal = proposal or _dense_svd(W, k)
     s, U, V = (np.ascontiguousarray(x) for x in proposal[:3])
     _fix_singular_signs(s, U, V)
 

@@ -122,10 +122,8 @@ def _draw_cloud(points, dataset, seed, nu, a, sigma, bands=0, nuisance=None) -> 
     eye = np.eye(p)
     M = nu[None, :] + a * (points @ eye[:, :r].T)
     if nuisance is not None:
-        # a large setting2 gamma overflows the range: InputError, not numpy's OverflowError
-        low, high = check_real(nuisance[0], "low"), check_real(nuisance[1], "high")
         V = eye[:, r:]
-        z = _stream(seed, dataset, _ROLE_NUISANCE).uniform(low, high, size=(count, V.shape[1]))
+        z = _stream(seed, dataset, _ROLE_NUISANCE).uniform(*nuisance, size=(count, V.shape[1]))
         M = M + z @ V.T
     noise = _stream(seed, dataset, _ROLE_NOISE).standard_normal((count, p))
     M = M + noise * _noise_std(count, p, sigma, bands)
@@ -182,8 +180,8 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
 
     r = 6 if name == "clustering" else 3
     check_int(p, "p", r + 1)
-    eye = np.eye(p)
     if name == "clustering":
+        eye = np.eye(p)
         theta = param
         nu1, a1, a2, sigma = 15.0 * (eye[:, 0] + eye[:, 1]), theta, theta, 1.0
         nuisance2, bands2 = (theta / 2.0, theta), r
@@ -192,16 +190,22 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
         theta = 13.0
         sigma = 0.05 * theta
         tau = param if name == "setting1" else 1.0
-        nu1, a1, a2 = tau * 3.0 * theta * eye[:, 0], 3.0 * theta, theta
+        nu1, a1, a2 = np.zeros(p), 3.0 * theta, theta
+        nu1[0] = tau * 3.0 * theta  # inf, not inf * 0, when tau is too large
         nuisance2, bands2 = None, 0
-        if name == "setting2":  # param is gamma
-            nuisance2, bands2 = (param * theta / 2.0, param * theta), r
+        if name == "setting2":  # param is gamma; InputError here, not numpy's OverflowError
+            low, high = check_real(param * theta / 2.0, "low"), check_real(param * theta, "high")
+            nuisance2, bands2 = (low, high), r
         sample = sample_torus
     lat_x = sample(m, seed, dataset=1)
     lat_y = sample(n, seed, dataset=2)
 
-    X = _draw_cloud(lat_x.points, 1, seed, nu1, a1, sigma)
-    Y = _draw_cloud(lat_y.points, 2, seed, np.zeros(p), a2, sigma, bands2, nuisance2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # DataMatrix rejects what overflows
+            X = _draw_cloud(lat_x.points, 1, seed, nu1, a1, sigma)
+            Y = _draw_cloud(lat_y.points, 2, seed, np.zeros(p), a2, sigma, bands2, nuisance2)
+    except InputError:
+        raise InputError(f"param={param!r} is too large: the {name} clouds overflow") from None
     return SimulatedPair(X=X, Y=Y, latent_x=lat_x, latent_y=lat_y, name=name, param=param)
 
 

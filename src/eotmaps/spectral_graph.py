@@ -42,22 +42,19 @@ class BipartiteOperators:
     n: int
 
 
-def build_operators(plan: TransportPlan, max_size: int = DEFAULT_MAX_SIZE) -> BipartiteOperators:
+def build_operators(plan: TransportPlan) -> BipartiteOperators:
     """Assemble the dense bipartite operators for a converged plan.
 
-    Requires m + n <= max_size (L and P are dense (m+n)^2 matrices) and a
-    plan whose relative marginal violation is at or below 1e-10, since the
-    row-stochasticity of P inherits exactly that violation.  L and P are the
-    only (m+n)^2 arrays the build allocates.
+    Requires m + n <= DEFAULT_MAX_SIZE (5000: L and P are dense (m+n)^2
+    matrices) and a plan whose relative marginal violation is at or below
+    1e-10, since the row-stochasticity of P inherits exactly that
+    violation.  L and P are the only (m+n)^2 arrays the build allocates.
     """
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
     m, n = plan.shape
-    if m + n > max_size:
-        raise DimensionError(
-            f"dense operators need m+n <= {max_size}, got {m + n}; raise max_size "
-            "explicitly if you really want this"
-        )
+    if m + n > DEFAULT_MAX_SIZE:
+        raise DimensionError(f"dense operators need m+n <= {DEFAULT_MAX_SIZE}, got {m + n}")
     row_target = np.sqrt(n / m)
     col_target = np.sqrt(m / n)
     violation = max(

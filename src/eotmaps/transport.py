@@ -159,13 +159,12 @@ class TransportPlan:
         transposed, Fortran-ordered view when X is the larger cloud
     epsilon : bandwidth used to build the kernel, or None when the kernel
         was supplied directly
-    iterations : number of full sweeps performed
     residuals : relative marginal violation after each sweep; () if built directly
+    iterations : number of full sweeps performed, read from ``residuals``
     """
 
     W: np.ndarray
-    epsilon: float | None
-    iterations: int
+    epsilon: float | None = None
     residuals: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -177,6 +176,10 @@ class TransportPlan:
     @property
     def shape(self) -> tuple[int, int]:
         return self.W.shape
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
 
 def _half_sweep(logK, dual, axis, log_target, buf) -> np.ndarray:
@@ -242,12 +245,7 @@ def _kernel_sweep(kernel, f, f0, g0, log_row_target):
     return g, f_next
 
 
-def sinkhorn(
-    logK,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    epsilon: float | None = None,
-) -> TransportPlan:
+def sinkhorn(logK, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> TransportPlan:
     """Scale a positive kernel (given in the log domain) onto the plan marginals.
 
     Parameters
@@ -257,11 +255,11 @@ def sinkhorn(
         max(|row_sum/row_target - 1|, |col_sum/col_target - 1|) measured
         after a full sweep (row update, then column update)
     max_iter : sweep budget; exhausting it raises ConvergenceError
-    epsilon : optional bandwidth to record on the plan (provenance only)
 
     Returns
     -------
-    TransportPlan whose W is built once, from the converged duals.
+    TransportPlan whose W is built once, from the converged duals, with
+    epsilon None (:func:`transport_plan` sets the bandwidth it used).
 
     The first row update, against g = 0, is one max-stabilized log-sum-exp
     of logK, computed in place in a single m x n buffer.  Every sweep then
@@ -356,7 +354,7 @@ def sinkhorn(
             "plan entries underflowed to zero; the kernel's dynamic range is too "
             "large for a dense strictly-positive plan"
         )
-    return TransportPlan(W=W, epsilon=epsilon, iterations=sweep, residuals=tuple(residuals))
+    return TransportPlan(W=W, residuals=tuple(residuals))
 
 
 def transport_plan(
@@ -396,8 +394,9 @@ def transport_plan(
         except FloatingPointError:
             raise InputError(f"epsilon={eps!r} is too small: a squared distance over it "
                              "overflows") from None
-        plan = sinkhorn(logK, tol=tol, max_iter=max_iter, epsilon=eps)
-    if tall:  # W.T is the transpose of a checked plan: set it without checking again
+        plan = sinkhorn(logK, tol=tol, max_iter=max_iter)
+    object.__setattr__(plan, "epsilon", eps)  # frozen: set without checking the plan again
+    if tall:
         object.__setattr__(plan, "W", plan.W.T)
     return plan
 

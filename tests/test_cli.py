@@ -472,7 +472,7 @@ def test_embed_unconverged_plan_exits_3_before_the_spectrum(tmp_path, workdir, m
 
     def unconverged(X, Y, **kwargs):
         W = np.random.default_rng(3).uniform(0.5, 1.5, size=(len(X), len(Y)))
-        return TransportPlan(W=W, epsilon=1.0, iterations=1)
+        return TransportPlan(W=W, epsilon=1.0)
 
     def spectrum(*args, **kwargs):
         raise AssertionError("singular_values reached")
@@ -520,7 +520,7 @@ def test_distances_unconverged_plan_exits_3(tmp_path, workdir, monkeypatch, caps
 
     def unconverged(X, Y, **kwargs):
         W = np.random.default_rng(3).uniform(0.5, 1.5, size=(len(X), len(Y)))
-        return TransportPlan(W=W, epsilon=1.0, iterations=1)
+        return TransportPlan(W=W, epsilon=1.0)
 
     monkeypatch.setattr(transport, "transport_plan", unconverged)
     pairs = tmp_path / "pairs.csv"

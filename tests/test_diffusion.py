@@ -217,7 +217,7 @@ def test_context_rejects_unconverged_plan(t, leading):
     W = np.random.default_rng(3).uniform(0.5, 1.5, size=(5, 8))
     if leading == "one":
         W = W / np.linalg.svd(W, compute_uv=False)[0]
-    bogus = TransportPlan(W=W, epsilon=1.0, iterations=1)
+    bogus = TransportPlan(W=W, epsilon=1.0)
     with pytest.raises(PlanNotConvergedError):
         DiffusionContext(bogus, t)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from eotmaps import (
     InputError,
     PlanNotConvergedError,
     TransportPlan,
+    build_operators,
     embed_from_model,
     embedding_cost,
     eot_eigenmaps,
@@ -92,7 +94,7 @@ def test_spectral_model_certifies_trivial_pair(pair):
 def test_spectral_model_rejects_unconverged_plan():
     rng = np.random.default_rng(3)
     W = rng.uniform(0.5, 1.5, size=(5, 8))
-    bogus = TransportPlan(W=W, epsilon=1.0, iterations=1)
+    bogus = TransportPlan(W=W, epsilon=1.0)
     with pytest.raises(PlanNotConvergedError):
         spectral_model(bogus, k=3)
 
@@ -382,6 +384,25 @@ def test_embedding_cost_validation(pair):
         embedding_cost(emb, transport_plan(X[:5], Y))
     with pytest.raises(InputError):
         embedding_cost("emb", plan)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda emb, plan: spectral_model(plan.W, 2), "plan must be a TransportPlan"),
+        (lambda emb, plan: embed_from_model(emb, q=1, t=0), "model must be a SpectralModel"),
+        (lambda emb, plan: embedding_cost(emb, plan.W), "plan must be a TransportPlan"),
+        (lambda emb, plan: embedding_cost(dataclasses.replace(emb, Yt=emb.Yt[:, :1]), plan),
+         "embedding blocks must share their dimension"),
+        (lambda emb, plan: build_operators(plan.W), "plan must be a TransportPlan"),
+    ],
+    ids=["spectral_model", "embed_from_model", "embedding_cost-plan", "embedding_cost-widths",
+         "build_operators"],
+)
+def test_wrong_argument_types_raise_input_error(pair, call, message):
+    _, _, plan = pair
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call(embed(plan, 2), plan)
 
 
 def test_spectral_model_factors_follow_the_callers_order(pair):

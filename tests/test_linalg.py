@@ -12,6 +12,7 @@ from eotmaps import (
     DataMatrix,
     DimensionError,
     InputError,
+    NumericalError,
     median_bandwidth,
     preset,
     select_dimension,
@@ -62,6 +63,20 @@ def test_sign_rule_takes_first_of_near_tied_entries():
     assert U[0, 0] > 0
     np.testing.assert_array_equal(U[:, 0], [0.4999999999999999, 0.4999999999999999, -0.5, -0.5])
     np.testing.assert_array_equal(V[:, 0], [-0.6, 0.8])
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_svd_null_vectors_take_their_own_largest_entry_rule(transpose):
+    # at s <= SINGULAR_FLOOR, u^T A v carries no sign, so each v gets the
+    # largest-entry rule itself: its largest-magnitude entry is positive
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        A = np.outer(rng.normal(size=4), rng.normal(size=6))  # rank 1
+        s, U, V = truncated_svd(A.T if transpose else A, 4)
+        short, long = (V, U) if transpose else (U, V)
+        assert s[0] > 1.0 and np.all(s[1:] <= linalg.SINGULAR_FLOOR)
+        for M in (short, long[:, 1:]):
+            assert np.all(M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])] > 0)
 
 
 @pytest.mark.parametrize("m,n", [(5, 7), (7, 5), (6, 6), (1, 4), (9, 3)])
@@ -277,16 +292,28 @@ def test_svd_gram_certificate_failure_goes_dense(svd_paths):
     np.testing.assert_array_equal(V, V_full[:, :20])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svd_overflowing_norms_go_dense(svd_paths):
-    # entries near 1e200 overflow the residual norms and W W^T; the dense
-    # SVD scales them and still serves the call
-    A = 1e200 * np.random.default_rng(3).normal(size=(60, 80))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # entries near 1e200 overflow the residual norms and W W^T, near 1e307
+    # the products W Q too; the iterative paths decline without a warning,
+    # and the dense SVD scales the entries and still serves the call
+    for scale in (1e200, 1e307):
+        A = scale * np.random.default_rng(3).normal(size=(60, 80))
         s, U, V = truncated_svd(A, 3)
-    assert svd_paths == ["dense"]
-    s_full, U_full, V_full = truncated_svd(A, 60)
-    np.testing.assert_array_equal(s, s_full[:3])
-    np.testing.assert_array_equal(U, U_full[:, :3])
+        assert svd_paths[-1] == "dense"
+        s_full, U_full, V_full = truncated_svd(A, 60)
+        np.testing.assert_array_equal(s, s_full[:3])
+        np.testing.assert_array_equal(U, U_full[:, :3])
+    assert svd_paths == ["dense"] * 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [3, 100])
+def test_svd_values_beyond_the_float_range_raise_numerical_error(k):
+    # s_1 ~ 2.4e308 is not a float64: every path fails, and NumericalError says so
+    A = 1e307 * np.random.default_rng(3).normal(size=(100, 200))
+    with pytest.raises(NumericalError, match="non-finite factors"):
+        truncated_svd(A, k)
 
 
 def test_svd_gram_path_declines_a_zero_kth_eigenvalue(svd_paths, monkeypatch):

@@ -334,6 +334,19 @@ def test_kmeans_with_fewer_distinct_points_than_k_raises():
     assert labels[0] == labels[1] and len(set(labels.tolist())) == 3
 
 
+def test_lloyd_reseeds_an_empty_cluster_at_the_farthest_point():
+    # centre 100 holds no point; after the first update every point lies
+    # 0.5 from a centre, so the re-seed takes the first, 0, and Lloyd ends
+    # at {0}, {1}, {10, 11}; without it the cluster stays empty and the
+    # result is {0, 1}, {10, 11} with twice the within-cluster sum
+    import eotmaps.metrics as metrics
+
+    P = np.array([[0.0], [1.0], [10.0], [11.0]])
+    labels, wcss = metrics._lloyd(P, (P**2).ravel(), np.array([[0.5], [10.5], [100.0]]))
+    np.testing.assert_array_equal(labels, [2, 0, 1, 1])
+    assert wcss == 0.5
+
+
 def test_kmeans_validation():
     P = np.zeros((5, 2))
     P[1] = 1.0

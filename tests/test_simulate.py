@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,15 @@ def test_preset_deterministic():
 def test_preset_latents_are_independent_draws():
     pair = preset("setting1", m=6, n=6, p=5, seed=0)
     assert np.abs(pair.latent_x.points - pair.latent_y.points).max() > 1e-3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,param", [("setting1", 1e307), ("clustering", 1e308)])
+def test_preset_overflow_names_the_param(name, param):
+    # the model overflows float64: one InputError naming param, no warning first
+    message = f"param={param!r} is too large: the {name} clouds overflow"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        preset(name, 5, 6, 8, 0, param)
 
 
 def test_preset_validation():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eotmaps.spectral_graph as spectral_graph
 from eotmaps import (
     DimensionError,
     InputError,
@@ -181,15 +182,18 @@ def test_quadratic_form_validation(ops):
         quadratic_form("ops", np.ones(4))
 
 
-def test_build_operators_size_gate(plan):
-    with pytest.raises(DimensionError):
-        build_operators(plan, max_size=plan.shape[0] + plan.shape[1] - 1)
+def test_build_operators_size_gate(plan, monkeypatch):
+    monkeypatch.setattr(spectral_graph, "DEFAULT_MAX_SIZE", plan.shape[0] + plan.shape[1] - 1)
+    with pytest.raises(DimensionError, match=r"^dense operators need m\+n <= \d+, got \d+$"):
+        build_operators(plan)
+    monkeypatch.setattr(spectral_graph, "DEFAULT_MAX_SIZE", plan.shape[0] + plan.shape[1])
+    build_operators(plan)
 
 
 def test_build_operators_rejects_violated_marginals():
     rng = np.random.default_rng(11)
     W = rng.uniform(0.1, 0.9, size=(4, 6))
-    bogus = TransportPlan(W=W, epsilon=1.0, iterations=1)
+    bogus = TransportPlan(W=W, epsilon=1.0)
     with pytest.raises(InvariantError):
         build_operators(bogus)
 

@@ -637,7 +637,7 @@ def test_entry_checks_keep_their_errors(value):
         W = np.full((3, 4), 0.5)
         W.flat[i] = value
         with pytest.raises(InputError, match="strictly positive" if finite else "W contains non-finite"):
-            TransportPlan(W=W, epsilon=None, iterations=1)
+            TransportPlan(W=W, epsilon=None)
         if not finite:
             with pytest.raises(InputError, match="logK contains non-finite entries"):
                 sinkhorn(W)
@@ -650,8 +650,8 @@ def test_plan_check_allocates_no_mask():
     # building a plan on a float64 W allocates less than one byte per entry
     m, n = 300, 400
     W = np.full((m, n), 0.5)
-    TransportPlan(W=W, epsilon=None, iterations=1)  # numpy internals load lazily
-    assert traced_peak(lambda: TransportPlan(W=W, epsilon=None, iterations=1)) < m * n
+    TransportPlan(W=W, epsilon=None)  # numpy internals load lazily
+    assert traced_peak(lambda: TransportPlan(W=W, epsilon=None)) < m * n
 
 
 def test_sinkhorn_scaling_structure():
@@ -678,7 +678,8 @@ def test_plan_records_the_residual_of_each_sweep():
     tall, wide = transport_plan(X, Y), transport_plan(Y, X)
     assert tall.residuals == wide.residuals and len(tall.residuals) == tall.iterations
     # a plan built directly records no sweeps
-    assert TransportPlan(W=np.ones((2, 2)), epsilon=None, iterations=1).residuals == ()
+    direct = TransportPlan(W=np.ones((2, 2)))
+    assert direct.residuals == () and direct.iterations == 0 and direct.epsilon is None
     # a run cut after three sweeps computes the same three residuals and
     # raises with the last
     with pytest.raises(ConvergenceError) as exc:
@@ -751,6 +752,7 @@ def test_transport_plan_swaps_when_first_is_larger():
     # exact transpose of the reversed call's
     reverse = transport_plan(Y, X)
     assert np.array_equal(plan.W, reverse.W.T)
+    assert plan.epsilon == reverse.epsilon == median_bandwidth(squared_distance_matrix(X, Y))
 
 
 def test_transport_plan_explicit_epsilon_and_validation():
@@ -806,7 +808,7 @@ def test_transport_plan_identical_points_degenerate():
 def test_plan_container_rejects_corrupt_fields():
     plan = sinkhorn(RNG.normal(size=(3, 4)))
     cls = type(plan)
-    bad = dict(W=plan.W, epsilon=plan.epsilon, iterations=plan.iterations)
+    bad = dict(W=plan.W, epsilon=plan.epsilon, residuals=plan.residuals)
     with pytest.raises(InputError):
         cls(**{**bad, "W": -plan.W})
     with pytest.raises(InputError):
@@ -816,7 +818,7 @@ def test_plan_container_rejects_corrupt_fields():
 @pytest.mark.parametrize("bad", [[["a"]], object()], ids=["string", "object"])
 def test_containers_reject_non_numeric_arrays(bad):
     with pytest.raises(InputError, match="W must be a matrix of real numbers"):
-        TransportPlan(W=bad, epsilon=None, iterations=1)
+        TransportPlan(W=bad, epsilon=None)
     with pytest.raises(InputError, match="latent points must be a matrix of real numbers"):
         LatentSample(points=bad)
 
@@ -824,12 +826,12 @@ def test_containers_reject_non_numeric_arrays(bad):
 def test_plan_container_stores_a_float_array():
     # a list or an integer W is stored as the float64 array it was checked as
     for W in ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], np.ones((3, 2), dtype=int)):
-        plan = TransportPlan(W=W, epsilon=None, iterations=1)
+        plan = TransportPlan(W=W, epsilon=None)
         assert isinstance(plan.W, np.ndarray) and plan.W.dtype == np.float64
         assert plan.shape == (3, 2)
         np.testing.assert_array_equal(plan.W, W)
-    spectral_model(TransportPlan(W=[[0.5, 0.5], [0.5, 0.5]], epsilon=None, iterations=1), 1)
+    spectral_model(TransportPlan(W=[[0.5, 0.5], [0.5, 0.5]], epsilon=None), 1)
     # a float64 array, C- or Fortran-ordered, is kept as is
     W = np.full((4, 3), 0.5)
     for array in (W, W.T):
-        assert TransportPlan(W=array, epsilon=None, iterations=1).W is array
+        assert TransportPlan(W=array, epsilon=None).W is array
