@@ -22,7 +22,10 @@ def pca_embed(X, q: int) -> np.ndarray:
     if bound < 1:
         raise DimensionError("PCA needs at least two rows")
     q = check_int(q, "q", 1, bound)
-    Xc = X - X.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, by name, below
+        Xc = X - X.mean(axis=0, keepdims=True)
+    if not (np.isfinite(Xc.min()) and np.isfinite(Xc.max())):
+        raise InputError("X is too large to center in float64; rescale it")
     _, _, V = truncated_svd(Xc, q)
     return Xc @ V
 

@@ -108,16 +108,14 @@ def rand_index(labels_a, labels_b) -> float:
     return float((total + 2 * same_both - same_a - same_b) / total)
 
 
-def _cluster_stats(P: np.ndarray, labels: np.ndarray):
-    classes = np.unique(labels)
+def _clusters(points, labels):
+    """Checked (P, labels, classes, each point's class index); two classes at least."""
+    P = as_matrix(points, "points")
+    labels = as_labels(labels, P.shape[0])
+    classes, own = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise InputError("need at least two distinct labels")
-    centroids = np.vstack([P[labels == c].mean(axis=0) for c in classes])
-    scatter = np.array(
-        [np.sqrt(((P[labels == c] - centroids[i]) ** 2).sum(axis=1).mean())
-         for i, c in enumerate(classes)]
-    )
-    return classes, centroids, scatter
+    return P, labels, classes, own
 
 
 def davies_bouldin(points, labels) -> float:
@@ -127,9 +125,12 @@ def davies_bouldin(points, labels) -> float:
     distance.  Coincident centroids make the ratio +inf, so the index is
     +inf whenever two clusters share a centroid.  Lower is better.
     """
-    P = as_matrix(points, "points")
-    labels = as_labels(labels, P.shape[0])
-    classes, centroids, scatter = _cluster_stats(P, labels)
+    P, labels, classes, _ = _clusters(points, labels)
+    centroids = np.vstack([P[labels == c].mean(axis=0) for c in classes])
+    scatter = np.array(
+        [np.sqrt(((P[labels == c] - centroids[i]) ** 2).sum(axis=1).mean())
+         for i, c in enumerate(classes)]
+    )
     M = np.sqrt(squared_distance_matrix(centroids, centroids))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(M > 0, (scatter[:, None] + scatter[None, :]) / M, np.inf)
@@ -145,11 +146,7 @@ def silhouette_mean(points, labels) -> float:
     (b - a) / max(a, b).  Points in singleton clusters score 0, as do points
     where both means vanish.  Distances are built 256 rows at a time.
     """
-    P = as_matrix(points, "points")
-    labels = as_labels(labels, P.shape[0])
-    classes, own = np.unique(labels, return_inverse=True)
-    if classes.size < 2:
-        raise InputError("need at least two distinct labels")
+    P, labels, classes, own = _clusters(points, labels)
     masks = [labels == c for c in classes]
     sizes = np.array([mask.sum() for mask in masks])
     sums = np.empty((P.shape[0], classes.size))  # distance sums, every point to every cluster
@@ -222,11 +219,9 @@ def _seed_centers(P: np.ndarray, sq_p: np.ndarray, k: int, rng: np.random.Genera
         if total > 0:
             chosen.append(int(rng.choice(N, p=d2 / total)))
         else:
-            # All remaining mass sits on already-chosen points; take the
-            # first index not yet used to keep the draw well-defined.
+            # All mass sits on chosen points (at most k - 1 < N): take the first unused
             _check_distinct(P, k)
-            rest = [i for i in range(N) if i not in chosen]
-            chosen.append(rest[0] if rest else chosen[-1])
+            chosen.append(next(i for i in range(N) if i not in chosen))
     return P[chosen].copy()
 
 

@@ -112,19 +112,17 @@ def _draw_cloud(points, dataset, seed, nu, a, sigma, bands=0, nuisance=None) -> 
     """One cloud of the model: nu + a * points U^T + z V^T + eta.
 
     U = (e_1..e_r) and V = (e_{r+1}..e_p) for r latent and p = len(nu)
-    observed dimensions; z is i.i.d. U[low, high] for ``nuisance`` = (low,
-    high), absent for None; eta is Gaussian with the std map
-    ``_noise_std(count, p, sigma, bands)``.  z and eta come from the
-    (seed, dataset) streams of their roles.
+    observed dimensions, so a * points and z fill the first r and the last
+    p - r columns by slicing; z is i.i.d. U[low, high] for ``nuisance``,
+    absent for None; eta is Gaussian with the std map ``_noise_std(count,
+    p, sigma, bands)``.  z and eta come from their roles' (seed, dataset) streams.
     """
     count, r = points.shape
     p = nu.size
-    eye = np.eye(p)
-    M = nu[None, :] + a * (points @ eye[:, :r].T)
+    M = np.tile(nu, (count, 1))
+    M[:, :r] += a * points
     if nuisance is not None:
-        V = eye[:, r:]
-        z = _stream(seed, dataset, _ROLE_NUISANCE).uniform(*nuisance, size=(count, V.shape[1]))
-        M = M + z @ V.T
+        M[:, r:] += _stream(seed, dataset, _ROLE_NUISANCE).uniform(*nuisance, size=(count, p - r))
     noise = _stream(seed, dataset, _ROLE_NOISE).standard_normal((count, p))
     M = M + noise * _noise_std(count, p, sigma, bands)
     return DataMatrix(M)
@@ -139,7 +137,6 @@ class SimulatedPair:
     latent_x: LatentSample
     latent_y: LatentSample
     name: str
-    param: float
 
     @property
     def pooled_latent(self) -> np.ndarray:
@@ -181,9 +178,9 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
     r = 6 if name == "clustering" else 3
     check_int(p, "p", r + 1)
     if name == "clustering":
-        eye = np.eye(p)
         theta = param
-        nu1, a1, a2, sigma = 15.0 * (eye[:, 0] + eye[:, 1]), theta, theta, 1.0
+        nu1, a1, a2, sigma = np.zeros(p), theta, theta, 1.0
+        nu1[:2] = 15.0
         nuisance2, bands2 = (theta / 2.0, theta), r
         sample = sample_gmm
     else:
@@ -206,7 +203,7 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
             Y = _draw_cloud(lat_y.points, 2, seed, np.zeros(p), a2, sigma, bands2, nuisance2)
     except InputError:
         raise InputError(f"param={param!r} is too large: the {name} clouds overflow") from None
-    return SimulatedPair(X=X, Y=Y, latent_x=lat_x, latent_y=lat_y, name=name, param=param)
+    return SimulatedPair(X=X, Y=Y, latent_x=lat_x, latent_y=lat_y, name=name)
 
 
 __all__ = [

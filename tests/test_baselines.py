@@ -71,3 +71,11 @@ def test_joint_pca_identical_clouds():
 def test_joint_pca_validation():
     with pytest.raises(InputError):
         joint_pca_embed(np.zeros((4, 3)), np.zeros((4, 2)), 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pca_overflowing_centring_names_x():
+    # the column sums overflow: one InputError naming X, and no warning first
+    X = 1e307 * np.random.default_rng(0).standard_normal((100, 200))
+    with pytest.raises(InputError, match=r"^X is too large to center"):
+        pca_embed(X, 3)

@@ -5,6 +5,7 @@ from eotmaps import (
     DiffusionContext,
     DimensionError,
     InputError,
+    NumericalError,
     PlanNotConvergedError,
     TransportPlan,
     block_power,
@@ -220,6 +221,18 @@ def test_context_rejects_unconverged_plan(t, leading):
     bogus = TransportPlan(W=W, epsilon=1.0)
     with pytest.raises(PlanNotConvergedError):
         DiffusionContext(bogus, t)
+
+
+def test_context_reports_a_failed_gram_eigensolve(setup, monkeypatch):
+    # the Gram route (t >= 2) turns eigh's LinAlgError into NumericalError
+    _, _, plan, _, _ = setup
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="eigh of the Gram matrix failed"):
+        DiffusionContext(plan, 2)
 
 
 def full_model_distances(model, t, kind, i, j):

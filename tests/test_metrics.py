@@ -176,6 +176,11 @@ def test_float_labels_beyond_int64_raise(big):
         davies_bouldin(FOUR_CORNERS, [big, big, 0.0, 0.0])
 
 
+def test_davies_bouldin_requires_two_classes():
+    with pytest.raises(InputError, match="need at least two distinct labels"):
+        davies_bouldin(FOUR_CORNERS, [3, 3, 3, 3])
+
+
 def test_float_labels_at_the_int64_ends_convert():
     ends = [-(2.0**63), -(2.0**63), 2.0**63 - 1024, 2.0**63 - 1024]
     assert rand_index(ends, [0, 0, 1, 1]) == 1.0

@@ -47,6 +47,7 @@ def marginal_residual(W):
 MIX_MEMORY = 5  # the constants of transport.sinkhorn
 MIX_START = 5
 ABSORB_DRIFT = 30.0
+MIX_BOUND = 1e4
 
 
 def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True):
@@ -63,8 +64,9 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
     domain.
     From sweep MIX_START on, (f, T(f)) joins a history of the last
     MIX_MEMORY + 1 sweeps, and once it holds two, the next f is their
-    type-II Anderson mix; the history is cleared when the marginal residual
-    rises or a mix is non-finite.  The least-squares fit solves the normal
+    type-II Anderson mix when it lies within MIX_BOUND plain steps
+    |T(f) - f| of T(f); otherwise, and when the marginal residual rises,
+    the history is cleared and the plain step T(f) taken.  The least-squares fit solves the normal
     equations with einsum as ``sinkhorn`` does: it is ill-conditioned near
     convergence, and a QR solve moves W by ~1e-13.  ``mix=False`` gives
     plain Sinkhorn.  Returns the plan W and the number of sweeps.
@@ -112,6 +114,7 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
         last_residual = residual
         if mix and sweep >= MIX_START:
             history = history[-MIX_MEMORY:] + [(f, f_next)]
+        step = np.abs(f_next - f).max()
         f = f_next
         if len(history) > 1:
             F = np.array([h[0] for h in history])
@@ -119,9 +122,12 @@ def oracle_sinkhorn(logK, tol=1e-10, max_iter=10000, mix=True, kernel_space=True
             dR = np.diff(T - F, axis=0)
             rhs = np.einsum("ik,k->i", dR, T[-1] - F[-1])
             gamma = np.linalg.lstsq(np.einsum("ik,jk->ij", dR, dR), rhs, rcond=None)[0]
-            f = T[-1] - np.einsum("i,ik->k", gamma, np.diff(T, axis=0))
-            if not np.isfinite(f).all():
-                f, history = f_next, []
+            mixed = T[-1] - np.einsum("i,ik->k", gamma, np.diff(T, axis=0))
+            with np.errstate(all="ignore"):
+                if np.abs(mixed - f_next).max() <= MIX_BOUND * step:
+                    f = mixed
+                else:
+                    history = []
     return np.exp(f[:, None] + logK + g[None, :]), sweep
 
 
@@ -415,13 +421,22 @@ def two_block_log_kernel(m, n, rows, cols, gap):
     return logK
 
 
+def far_column_log_kernels(count):
+    """40 x 120 normal log-kernels with 1-3 columns lowered by 690-750."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(count):
+        logK = rng.normal(size=(40, 120))
+        cols = rng.choice(120, size=rng.integers(1, 4), replace=False)
+        logK[:, cols] -= rng.uniform(690.0, 750.0, size=len(cols))
+        yield logK
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_underflowing_kernel_takes_the_log_domain_fallback(monkeypatch):
-    # One row must feed four columns through e^-40 couplings, so plain sweeps
-    # move the duals along a fixed direction and the Anderson mix jumps them
-    # by ~1e14: a kernel absorbed there is 0 and inf, its sums are not
-    # positive and finite, and those sweeps are redone in the log domain.
-    logK = two_block_log_kernel(4, 6, 1, 4, 40.0)
+    # The first absorption has g0 = 0, so the lowered columns underflow in
+    # the scaled kernel and their sums are zero or subnormal: the first
+    # sweep is redone in the log domain, and the next absorbs its duals
+    # afresh and runs in kernel space (52 of the first 60 such kernels).
     kernel_sweep = transport._kernel_sweep
     outcomes = []
 
@@ -431,23 +446,47 @@ def test_underflowing_kernel_takes_the_log_domain_fallback(monkeypatch):
         return step
 
     monkeypatch.setattr(transport, "_kernel_sweep", recorded)
-    plan = sinkhorn(logK)
-    assert outcomes.count(False) > 5 and outcomes.count(True) > 5
-    assert marginal_residual(plan.W) <= 1e-10
-    W_kernel, kernel_sweeps = oracle_sinkhorn(logK)
-    W_log, log_sweeps = oracle_sinkhorn(logK, kernel_space=False)
-    assert plan.iterations == kernel_sweeps == log_sweeps
-    np.testing.assert_allclose(plan.W, W_kernel, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(plan.W, W_log, rtol=1e-12, atol=0)
+    for logK in far_column_log_kernels(2):
+        outcomes.clear()
+        plan = sinkhorn(logK)
+        assert outcomes[0] is False and all(outcomes[1:]) and len(outcomes) > 5
+        assert marginal_residual(plan.W) <= 1e-10
+        W_kernel, kernel_sweeps = oracle_sinkhorn(logK)
+        W_log, log_sweeps = oracle_sinkhorn(logK, kernel_space=False)
+        assert plan.iterations == kernel_sweeps == log_sweeps
+        np.testing.assert_allclose(plan.W, W_kernel, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(plan.W, W_log, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("m,n,rows,cols,gap", [(5, 7, 2, 5, 40.0), (6, 6, 2, 4, 50.0), (5, 7, 2, 5, 50.0)])
+@pytest.mark.parametrize("m,n,rows,cols,gap", [(5, 7, 2, 5, 40.0), (6, 6, 2, 4, 50.0), (5, 7, 2, 5, 50.0), (5, 7, 2, 5, 30.0)])
 def test_far_extrapolated_duals_do_not_read_as_converged(m, n, rows, cols, gap):
-    # Anderson steps jump these duals to ~1e14, where one ulp is ~0.03: the
-    # row update rounds back to f itself and the residual read from the
-    # duals would be 0, for a plan whose marginals are off by up to 6%
-    with pytest.raises(ConvergenceError):
-        sinkhorn(two_block_log_kernel(m, n, rows, cols, gap), max_iter=300)
+    # On these kernels the residual differences are rounding noise, so an
+    # unbounded Anderson mix jumps the duals to ~1e14, where the row update
+    # rounds back to f itself, and Sinkhorn never converges.  Refusing mixes
+    # farther than MIX_BOUND plain steps from T(f), it takes 24-39 sweeps.
+    logK = two_block_log_kernel(m, n, rows, cols, gap)
+    plan = sinkhorn(logK)
+    assert plan.iterations <= 40
+    assert marginal_residual(plan.W) <= 1e-10
+    W, sweeps = oracle_sinkhorn(logK)
+    assert plan.iterations == sweeps
+    np.testing.assert_allclose(plan.W, W, rtol=1e-14, atol=0)
+    # The duals resolve the row violation only down to eps * max|f|, so a
+    # tol below that never reads as converged, though f reaches a fixed point
+    with pytest.raises(ConvergenceError) as exc:
+        sinkhorn(logK, tol=1e-300, max_iter=300)
+    assert exc.value.residual > 1e-300
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+@pytest.mark.parametrize("split", ["halves", "one-row"])
+def test_block_kernels_converge_where_plain_sweeps_do(m, split):
+    # Plain sweeps converge on every strictly positive kernel; the bounded
+    # mix must too (up to 1,104 sweeps here, at gap 80 with m = 7 halves)
+    rows, cols = (m // 2, (m + 2) // 2) if split == "halves" else (1, (m + 2) // 2 + 1)
+    for gap in (20.0, 30.0, 40.0, 50.0, 60.0, 80.0):
+        plan = sinkhorn(two_block_log_kernel(m, m + 2, rows, cols, gap))
+        assert marginal_residual(plan.W) <= 1e-10
 
 
 def test_tall_plan_is_checked_once(monkeypatch):
@@ -564,11 +603,7 @@ def test_far_columns_keep_accurate_marginals():
     # sum carries few digits.  Such a sum, and a zero one, must send the
     # sweep to the log domain (the reciprocal of a subnormal sum overflows)
     # rather than put its rounding into the column dual.
-    rng = np.random.default_rng(20261019)
-    for _ in range(60):
-        logK = rng.normal(size=(40, 120))
-        cols = rng.choice(120, size=rng.integers(1, 4), replace=False)
-        logK[:, cols] -= rng.uniform(690.0, 750.0, size=len(cols))
+    for logK in far_column_log_kernels(60):
         plan = sinkhorn(logK)
         assert marginal_residual(plan.W) <= 1e-10
 
