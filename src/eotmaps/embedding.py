@@ -105,7 +105,14 @@ def triplet_count(q, rank: int) -> int:
 
     A fixed q needs q + 1 triplets plus the next value, which the model's
     ``s_next`` holds, for the tie check; "auto" reads 12 values exactly.
+    A rank below 2 raises DimensionError: its plan has no coordinate
+    beyond the trivial pair.
     """
+    if rank < 2:
+        raise DimensionError(
+            f"a plan of rank min(m, n) = {rank} has no non-trivial coordinate; "
+            "each cloud needs at least two points"
+        )
     if isinstance(q, str) and q != "auto":
         raise InputError(f'q must be a positive integer or "auto", got {q!r}')
     fixed = not isinstance(q, str)
@@ -144,9 +151,11 @@ def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbeddi
     m = |X| and n = |Y| are the row counts of the model's U and V.  ``q`` is
     an integer in [1, min(m, n)-1] or "auto", which picks it with
     :func:`select_dimension` from the model's leading min(m, n, 12) values;
-    a model holding fewer raises DimensionError.  A fixed q needs q + 1
-    triplets; the tie check compares s_{q+1} with the value after it (the
-    model's s_{q+2}, else its ``s_next``) and is skipped when there is none.
+    a model holding fewer raises DimensionError, as does min(m, n) = 1,
+    where no coordinate exists (see :func:`triplet_count`).  A fixed q
+    needs q + 1 triplets; the tie check compares s_{q+1} with the value
+    after it (the model's s_{q+2}, else its ``s_next``) and is skipped when
+    there is none.
     Use this instead of :func:`eot_eigenmaps` when the plan is already
     solved, or when the model is also needed for other purposes (spectra,
     several embeddings) and should only be computed once.
@@ -155,16 +164,10 @@ def embed_from_model(model: SpectralModel, q: int | str, t: int) -> JointEmbeddi
         raise InputError("model must be a SpectralModel")
     t = check_int(t, "t", 0)
     m, n = model.U.shape[0], model.V.shape[0]
-    rank = min(m, n)
-
-    if isinstance(q, str):
-        need = triplet_count(q, rank)
-        if model.s.size < need:
-            raise DimensionError(f'q="auto" needs {need} triplets, model holds {model.s.size}')
-        q = select_dimension(model.s[:need])
-    q = check_int(q, "q", 1, rank - 1)
-    if model.s.size < q + 1:
-        raise DimensionError(f"model holds {model.s.size} triplets, need {q + 1}")
+    need = triplet_count(q, min(m, n))  # q + 1 for a fixed q, checked against the rank
+    if model.s.size < need:
+        raise DimensionError(f"q={q!r} needs {need} triplets, model holds {model.s.size}")
+    q = select_dimension(model.s[:need]) if isinstance(q, str) else need - 1
     s_after = model.s[q + 1] if model.s.size > q + 1 else model.s_next
     if s_after is not None and abs(model.s[q] - s_after) <= _TIE_TOL:
         warnings.warn(

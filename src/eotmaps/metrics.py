@@ -8,7 +8,9 @@ distances to two coincident points with non-dyadic coordinates can differ
 by a few ulps, and either twin may rank first.  Integer and dyadic
 coordinates give exact distances.
 Distances are built 256 rows at a time; each row's k-th smallest value is
-found by selection, and only the entries at or below it are sorted.
+found by selection, and only the entries at or below it are sorted.  Each
+metric checks its points once; the row blocks go to the distance kernel
+unchecked, with the bits ``squared_distance_matrix`` gives them.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_labels, as_matrix, check_int
 from .simulate import _stream
-from .transport import _squared_distances, squared_distance_matrix
+from .transport import _squared_distances
 
 DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 200  # Lloyd steps per restart
+
+
+def _block_distances(block: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Squared distances of the checked rows ``block`` to every point of P."""
+    return _squared_distances(block, P, np.einsum("ij,ij->i", block, block))
 
 
 def _neighbor_balls(P: np.ndarray, k: int):
@@ -36,7 +43,7 @@ def _neighbor_balls(P: np.ndarray, k: int):
     N = P.shape[0]
     for start in range(0, N, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, N))
-        D2 = squared_distance_matrix(P[rows], P)
+        D2 = _block_distances(P[rows], P)
         D2[np.arange(rows.size), rows] = np.inf
         kth = np.partition(D2, k - 1, axis=1)[:, k - 1]
         yield rows, D2, D2 <= kth[:, None]
@@ -90,13 +97,11 @@ def _pair_count(v: np.ndarray) -> int:
 
 def rand_index(labels_a, labels_b) -> float:
     """Fraction of point pairs on which two labelings agree (joined or split)."""
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
-    if a.shape != b.shape or a.size < 2:
-        raise InputError("labelings must have equal length >= 2")
-    a = as_labels(a, a.size)
-    b = as_labels(b, b.size)
+    a = as_labels(labels_a, np.size(labels_a), "labels_a")
+    b = as_labels(labels_b, a.size, "labels_b")
     N = a.size
+    if N < 2:
+        raise InputError("labelings must have equal length >= 2")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     contingency = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
@@ -131,7 +136,7 @@ def davies_bouldin(points, labels) -> float:
         [np.sqrt(((P[labels == c] - centroids[i]) ** 2).sum(axis=1).mean())
          for i, c in enumerate(classes)]
     )
-    M = np.sqrt(squared_distance_matrix(centroids, centroids))
+    M = np.sqrt(_block_distances(centroids, centroids))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(M > 0, (scatter[:, None] + scatter[None, :]) / M, np.inf)
     np.fill_diagonal(ratios, -np.inf)
@@ -151,7 +156,7 @@ def silhouette_mean(points, labels) -> float:
     sizes = np.array([mask.sum() for mask in masks])
     sums = np.empty((P.shape[0], classes.size))  # distance sums, every point to every cluster
     for start in range(0, P.shape[0], _ROW_BLOCK):
-        D = np.sqrt(squared_distance_matrix(P[start : start + _ROW_BLOCK], P))
+        D = np.sqrt(_block_distances(P[start : start + _ROW_BLOCK], P))
         for c, mask in enumerate(masks):
             sums[start : start + _ROW_BLOCK, c] = D[:, mask].sum(axis=1)
     own_cluster = np.arange(P.shape[0]), own

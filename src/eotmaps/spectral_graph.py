@@ -22,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import SpectralModel
-from .errors import DimensionError, InputError, InvariantError, NumericalError
+from .errors import DimensionError, InputError, InvariantError
 from .linalg import as_real
 from .transport import TransportPlan
 
 DEFAULT_MAX_SIZE = 5000
 _MARGINAL_GATE = 1e-10
-_ROW_STOCHASTIC_TOL = 1e-10
-_AGREEMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,10 @@ def build_operators(plan: TransportPlan) -> BipartiteOperators:
 
     Requires m + n <= DEFAULT_MAX_SIZE (5000: L and P are dense (m+n)^2
     matrices) and a plan whose relative marginal violation is at or below
-    1e-10, since the row-stochasticity of P inherits exactly that
-    violation.  L and P are the only (m+n)^2 arrays the build allocates.
+    1e-10, else InvariantError.  That gate is the row-stochasticity check:
+    P's row sums are sqrt(m/n) times W's row sums on X's rows and sqrt(n/m)
+    times its column sums on Y's, so they miss 1 by the gated violation,
+    up to rounding.  L and P are the only (m+n)^2 arrays the build allocates.
     """
     if not isinstance(plan, TransportPlan):
         raise InputError("plan must be a TransportPlan")
@@ -76,10 +76,6 @@ def build_operators(plan: TransportPlan) -> BipartiteOperators:
         np.negative(block, out=L[rows, cols])
         np.multiply(block, np.sqrt(a), out=P[rows, cols])
         P[rows, cols] /= np.sqrt(b)
-
-    row_err = np.abs(P.sum(axis=1) - 1.0).max()
-    if row_err > _ROW_STOCHASTIC_TOL:
-        raise InvariantError(f"P is not row-stochastic within {_ROW_STOCHASTIC_TOL:g} ({row_err:.3e})")
     return BipartiteOperators(L=L, P=P, m=m, n=n)
 
 
@@ -128,38 +124,23 @@ def predicted_spectrum(model: SpectralModel):
 
 
 def quadratic_form(ops: BipartiteOperators, f) -> float:
-    """Evaluate f^T L f two ways and return the matrix-form value.
+    """Evaluate the alignment quadratic form f^T L f.
 
-    The second route rewrites the form as the plan-weighted sum of squared
-    rescaled differences across the bipartition:
+    It equals the plan-weighted sum of squared rescaled differences across
+    the bipartition,
 
-        (1/sqrt(mn)) * sum_ij (sqrt(m) f_i - sqrt(n) f_{m+j})^2 W_ij
+        (1/sqrt(mn)) * sum_ij (sqrt(m) f_i - sqrt(n) f_{m+j})^2 W_ij,
 
-    The two evaluations must agree to 1e-8 relative to the scale of the
-    form; disagreement raises NumericalError.  An ``f`` that is not a real
-    vector of length m + n (complex, text or non-finite entries included)
-    raises InputError naming ``f``.
+    an identity that acceptance criterion 4 checks.  An ``f`` that is not a
+    real vector of length m + n (complex, text or non-finite entries
+    included) raises InputError naming ``f``.
     """
     if not isinstance(ops, BipartiteOperators):
         raise InputError("ops must be a BipartiteOperators")
     f = as_real(f, "f", 1)
     if f.shape != (ops.m + ops.n,):
         raise InputError(f"f must have length {ops.m + ops.n}, got {f.shape}")
-
-    matrix_value = float(f @ (ops.L @ f))
-
-    W = -ops.L[: ops.m, ops.m :]
-    g = f[: ops.m]
-    h = f[ops.m :]
-    diffs = np.sqrt(ops.m) * g[:, None] - np.sqrt(ops.n) * h[None, :]
-    weighted_value = float((diffs**2 * W).sum() / np.sqrt(ops.m * ops.n))
-
-    scale = max(abs(matrix_value), abs(weighted_value), float(f @ f))
-    if abs(matrix_value - weighted_value) > _AGREEMENT_TOL * max(scale, 1e-300):
-        raise NumericalError(
-            f"quadratic-form routes disagree: {matrix_value!r} vs {weighted_value!r}"
-        )
-    return matrix_value
+    return float(f @ (ops.L @ f))
 
 
 __all__ = [

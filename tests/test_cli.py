@@ -280,6 +280,18 @@ def test_embed_input_errors(tmp_path, workdir):
     assert r.stderr == f"error: {tmp_path / 'empty.csv'} is empty\n"  # no loadtxt warning
 
 
+@pytest.mark.parametrize("q", ["auto", "1"])
+def test_embed_single_point_cloud_exits_2(tmp_path, q):
+    (tmp_path / "x.csv").write_text("1,2\n")
+    (tmp_path / "y.csv").write_text("1,2\n3,4\n5,1\n")
+    r = run_cli(
+        "embed", "--in-x", tmp_path / "x.csv", "--in-y", tmp_path / "y.csv", "--q", q,
+        "--out-embedding", tmp_path / "e.csv", "--out-spectrum", tmp_path / "s.csv",
+    )
+    assert r.returncode == 2
+    assert r.stderr == "error: a plan of rank min(m, n) = 1 has no non-trivial coordinate; each cloud needs at least two points\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_input_exits_2(tmp_path, workdir, value):
     X = (workdir / "X.csv").read_text().splitlines()

@@ -221,6 +221,20 @@ def test_embedding_auto_rank_two_plan():
     assert emb.q == 1
 
 
+@pytest.mark.parametrize("q", ["auto", 1])
+@pytest.mark.parametrize("m,n", [(1, 5), (5, 1)])
+def test_single_point_cloud_has_no_coordinate(q, m, n):
+    # min(m, n) = 1: the plan's one singular triplet is the trivial pair
+    rng = np.random.default_rng(1)
+    X, Y = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+    message = r"^a plan of rank min\(m, n\) = 1 has no non-trivial coordinate; each cloud needs at least two points$"
+    with pytest.raises(DimensionError, match=message):
+        eot_eigenmaps(X, Y, q=q)
+    model = spectral_model(transport_plan(X, Y), k=1)
+    with pytest.raises(DimensionError, match=message):
+        embed_from_model(model, q=q, t=0)
+
+
 def test_embedding_auto_floor_on_uniform_plan(monkeypatch):
     # identical points give a rank-one plan: s = [1, ~1e-16, ~1e-47, 0, ...].
     # Below the floor those are zeros, so q = 1 and its coordinate ties with

@@ -68,6 +68,24 @@ def test_no_unused_imports():
     assert not unused
 
 
+def test_imports_only_numpy_and_the_standard_library():
+    # numpy is the one dependency (pyproject.toml); other packages may be
+    # installed beside it, scipy among them, but the library must not use them
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "eotmaps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign
+
+
 def test_no_unreferenced_private_names():
     # a module-level _name (function, class or constant) that no module of
     # the package reads is dead code a deletion left behind

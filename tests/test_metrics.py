@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import eotmaps.metrics as metrics_module
+import eotmaps.transport as transport_module
 from eotmaps import (
     DimensionError,
     InputError,
@@ -111,6 +113,25 @@ def test_knn_rejects_overflowing_distances():
         knn(np.array([[1e200], [0.0], [1.0], [-1e200]]), 2)
 
 
+@pytest.mark.parametrize("name", ["knn", "neighbor_purity", "silhouette_mean"])
+def test_metrics_check_their_points_once(monkeypatch, name):
+    # 600 points make three 256-row distance blocks; checking both arguments
+    # of squared_distance_matrix for each block would make 7 checks
+    checked = []
+    for module in (metrics_module, transport_module):
+        def counted(a, *args, check=module.as_matrix):
+            checked.append(a.shape)
+            return check(a, *args)
+
+        monkeypatch.setattr(module, "as_matrix", counted)
+    rng = np.random.default_rng(600)
+    P = rng.normal(size=(600, 3))
+    labels = rng.integers(0, 3, size=600)
+    args = {"knn": (P, 5), "neighbor_purity": (P, labels, 5), "silhouette_mean": (P, labels)}
+    getattr(metrics_module, name)(*args[name])
+    assert checked == [(600, 3)]
+
+
 def test_jaccard_identical_inputs_is_one():
     rng = np.random.default_rng(1)
     P = rng.normal(size=(30, 4))
@@ -165,6 +186,15 @@ def test_rand_index_validation():
         rand_index([0], [1])
     with pytest.raises(InputError):
         rand_index([0.5, 1.0], [0, 1])
+
+
+def test_rand_index_rejects_2d_labelings():
+    # every metric takes labels of shape (N,) only; a column is not flattened
+    column = np.array([[0], [1], [1]])
+    with pytest.raises(InputError, match=r"labels_a must be a vector of length 3, got shape \(3, 1\)"):
+        rand_index(column, [0, 1, 1])
+    with pytest.raises(InputError, match=r"labels_b must be a vector of length 3, got shape \(3, 1\)"):
+        rand_index([0, 1, 1], column)
 
 
 @pytest.mark.parametrize("big", [1e30, -1e30, 2.0**63, np.inf])

@@ -79,6 +79,36 @@ def test_p_is_row_stochastic_and_nonnegative(ops):
     assert ops.P.min() >= 0.0
 
 
+def marginal_violation(W):
+    """The relative marginal violation build_operators gates at 1e-10."""
+    m, n = W.shape
+    return max(np.abs(W.sum(axis=1) / np.sqrt(n / m) - 1.0).max(),
+               np.abs(W.sum(axis=0) / np.sqrt(m / n) - 1.0).max())
+
+
+@pytest.mark.parametrize("m,n,scale", [(40, 60, 1.0), (60, 40, 1.0), (300, 200, 1.0),
+                                       (40, 60, 1.0 + 0.9e-10), (60, 40, 1.0 - 0.9e-10)])
+def test_p_row_sums_stay_within_the_marginal_gate(m, n, scale):
+    # build_operators checks only the plan's marginals: P's row sums are
+    # sqrt(m/n) times W's row sums and sqrt(n/m) times its column sums, so
+    # they miss 1 by the gated violation plus the rounding of the sums.  A
+    # scaled W puts the violation just under the 1e-10 gate.
+    rng = np.random.default_rng(m * n)
+    plan = transport_plan(rng.normal(size=(m, 3)), rng.normal(size=(n, 3)), tol=1e-12)
+    W = plan.W * scale
+    violation = marginal_violation(W)
+    assert violation <= 1e-10 and (scale == 1.0 or violation > 0.8e-10)
+    ops = build_operators(TransportPlan(W=W, epsilon=plan.epsilon))
+    assert np.abs(ops.P.sum(axis=1) - 1.0).max() <= violation + 4 * np.finfo(float).eps
+
+
+def test_quadratic_form_is_the_matrix_form(ops):
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        f = rng.normal(size=ops.m + ops.n) * 3.0
+        assert quadratic_form(ops, f) == float(f @ (ops.L @ f))
+
+
 def test_similarity_preserves_spectrum(plan, ops):
     N = sum(plan.shape)
     What, D, Ltilde = dense_operators(plan.W)
