@@ -19,7 +19,6 @@ _EXPORTS = {
     "PlanNotConvergedError": "errors",
     "InvariantError": "errors",
     # linalg
-    "DataMatrix": "linalg",
     "truncated_svd": "linalg",
     # transport
     "TransportPlan": "transport",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "diffusion_distance": "diffusion",
     "truncation_bound": "diffusion",
     # simulate
-    "LatentSample": "simulate",
     "SimulatedPair": "simulate",
     "sample_torus": "simulate",
     "sample_gmm": "simulate",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import numbers
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,12 +119,7 @@ def as_real(a, name: str, ndim: int) -> np.ndarray:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """:func:`as_real`'s 2-D case, with at least one row and one column.
-
-    A DataMatrix is taken as is: its values were checked when it was built.
-    """
-    if isinstance(a, DataMatrix):
-        return a.values
+    """:func:`as_real`'s 2-D case, with at least one row and one column."""
     arr = as_real(a, name, 2)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InputError(f"{name} must have at least one row and one column, got {arr.shape}")
@@ -150,18 +144,6 @@ def as_labels(labels, count: int, name: str = "labels") -> np.ndarray:
         bad = lab.min() if lab.min() < -_INT64_END else lab.max()
         raise InputError(f"{name} must lie in the int64 range [-2^63, 2^63), got {bad:g}")
     return lab.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class DataMatrix:
-    """A validated dense real matrix; rows are points, columns are features."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(as_matrix(self.values, "DataMatrix"), copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
 
 @contextmanager
@@ -403,7 +385,7 @@ def truncated_svd(A, k: int):
 
     Parameters
     ----------
-    A : array-like or DataMatrix, shape (m, n)
+    A : array-like, shape (m, n)
     k : int, 1 <= k <= min(m, n)
 
     Returns

@@ -131,11 +131,12 @@ def davies_bouldin(points, labels) -> float:
     +inf whenever two clusters share a centroid.  Lower is better.
     """
     P, labels, classes, _ = _clusters(points, labels)
-    centroids = np.vstack([P[labels == c].mean(axis=0) for c in classes])
-    scatter = np.array(
-        [np.sqrt(((P[labels == c] - centroids[i]) ** 2).sum(axis=1).mean())
-         for i, c in enumerate(classes)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
+        centroids = np.vstack([P[labels == c].mean(axis=0) for c in classes])
+        scatter = np.array([np.sqrt(((P[labels == c] - centroids[i]) ** 2).sum(axis=1).mean())
+                            for i, c in enumerate(classes)])
+    if not np.isfinite(scatter).all():  # a non-finite centroid makes its scatter non-finite
+        raise InputError("squared distances overflow float64; rescale the points")
     M = np.sqrt(_block_distances(centroids, centroids))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(M > 0, (scatter[:, None] + scatter[None, :]) / M, np.inf)

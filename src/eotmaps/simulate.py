@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix, as_labels, as_matrix, check_int, check_real
+from .linalg import check_int, check_real
 
 _ROLE_LATENT = 0
 _ROLE_NUISANCE = 1
@@ -42,22 +42,10 @@ def _stream(seed, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class LatentSample:
-    """Latent points (count, r) plus class labels when the law has classes.
-
-    Points go through the matrix rule and labels through the label rule of
-    :mod:`eotmaps.linalg`: complex, text or non-finite points, and labels
-    that are not integers (integer-valued floats become int64) or do not
-    match the points, raise InputError.
-    """
+    """Drawn latent float64 points (count, r), plus int64 labels when the law has classes."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        pts = as_matrix(self.points, "latent points")
-        object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", as_labels(self.labels, pts.shape[0]))
 
     @property
     def count(self) -> int:
@@ -66,6 +54,13 @@ class LatentSample:
     @property
     def r(self) -> int:
         return self.points.shape[1]
+
+
+@dataclass(frozen=True)
+class DataMatrix:
+    """A drawn cloud's read-only float64 ``values``; kept only while the benchmark reads them."""
+
+    values: np.ndarray
 
 
 def sample_torus(count: int, seed, dataset: int = 1) -> LatentSample:
@@ -124,13 +119,14 @@ def _draw_cloud(points, dataset, seed, nu, a, sigma, bands=0, nuisance=None) -> 
     if nuisance is not None:
         M[:, r:] += _stream(seed, dataset, _ROLE_NUISANCE).uniform(*nuisance, size=(count, p - r))
     noise = _stream(seed, dataset, _ROLE_NOISE).standard_normal((count, p))
-    M = M + noise * _noise_std(count, p, sigma, bands)
+    M += noise * _noise_std(count, p, sigma, bands)
+    M.flags.writeable = False
     return DataMatrix(M)
 
 
 @dataclass(frozen=True)
 class SimulatedPair:
-    """One simulated two-sample draw: observed clouds plus their latents."""
+    """One simulated draw: :class:`DataMatrix` clouds X (m, p) and Y (n, p), plus their latents."""
 
     X: DataMatrix
     Y: DataMatrix
@@ -197,17 +193,16 @@ def preset(name: str, m: int, n: int, p: int, seed: int, param: float = 1.0) -> 
     lat_x = sample(m, seed, dataset=1)
     lat_y = sample(n, seed, dataset=2)
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # DataMatrix rejects what overflows
-            X = _draw_cloud(lat_x.points, 1, seed, nu1, a1, sigma)
-            Y = _draw_cloud(lat_y.points, 2, seed, np.zeros(p), a2, sigma, bands2, nuisance2)
-    except InputError:
-        raise InputError(f"param={param!r} is too large: the {name} clouds overflow") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # each cloud is checked once, below
+        X = _draw_cloud(lat_x.points, 1, seed, nu1, a1, sigma)
+        Y = _draw_cloud(lat_y.points, 2, seed, np.zeros(p), a2, sigma, bands2, nuisance2)
+    for M in (X.values, Y.values):  # NaN propagates through min and max
+        if not (np.isfinite(M.min()) and np.isfinite(M.max())):
+            raise InputError(f"param={param!r} is too large: the {name} clouds overflow")
     return SimulatedPair(X=X, Y=Y, latent_x=lat_x, latent_y=lat_y, name=name)
 
 
 __all__ = [
-    "LatentSample",
     "SimulatedPair",
     "sample_torus",
     "sample_gmm",

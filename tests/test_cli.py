@@ -808,6 +808,46 @@ def test_distances_input_errors(workdir, tmp_path):
     assert r.returncode == 2 and "t must be" in r.stderr
 
 
+_UNDECODABLE = {  # a file whose bytes are not UTF-8, for each reading flag
+    "config": b'{"name": "\xff"}\n',
+    "in-x": b"1.0,\xff\n",
+    "embedding": b"dataset,point_index,coord_1\xff\n",
+    "pairs": b"kind,i,j\nXX,0,\xff\n",
+}
+
+
+@pytest.mark.parametrize("case", ["simulate-out", "embed-out", "evaluate-out", "distances-out",
+                                  *_UNDECODABLE])
+def test_unwritable_or_undecodable_file_exits_2(workdir, tmp_path, case):
+    # one error line that names the file, not exit 1 with a traceback
+    bad = tmp_path / "missing" / "out.csv"
+    if case in _UNDECODABLE:
+        bad = tmp_path / "binary.txt"
+        bad.write_bytes(_UNDECODABLE[case])
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXY,0,1\n")
+    d, out = workdir, tmp_path / "out.csv"
+
+    def pick(name, default):
+        return bad if case == name else default
+
+    argv = {
+        "simulate": ["--config", pick("config", d / "config.json"), "--out-x", pick("simulate-out", out),
+                     "--out-y", out, "--out-latent", out, "--out-labels", out],
+        "embed": ["--in-x", pick("in-x", d / "X.csv"), "--in-y", d / "Y.csv",
+                  "--out-embedding", pick("embed-out", out), "--out-spectrum", out],
+        "evaluate": ["--embedding", pick("embedding", d / "emb.csv"), "--metric", "db",
+                     "--labels", d / "labels.txt", "--out", pick("evaluate-out", out)],
+        "distances": ["--in-x", d / "X.csv", "--in-y", d / "Y.csv", "--t", 1,
+                      "--pairs", pick("pairs", pairs), "--out", pick("distances-out", out)],
+    }
+    command = next(c for c, args in argv.items() if bad in args)
+    r = run_cli(command, *argv[command])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert str(bad) in r.stderr
+
+
 def test_distances_checks_every_pair_before_writing(workdir, tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("kind,i,j\nXX,0,1\nYY,2,3\nXY,3,99\n")

@@ -9,7 +9,6 @@ import pytest
 
 import eotmaps.linalg as linalg
 from eotmaps import (
-    DataMatrix,
     DimensionError,
     InputError,
     NumericalError,
@@ -124,13 +123,6 @@ def test_svd_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
-def test_svd_accepts_data_matrix():
-    A = RNG.normal(size=(4, 6))
-    s1, _, _ = truncated_svd(DataMatrix(A), 2)
-    s2, _, _ = truncated_svd(A, 2)
-    np.testing.assert_array_equal(s1, s2)
-
-
 def test_svd_input_validation():
     A = RNG.normal(size=(4, 5))
     with pytest.raises(DimensionError):
@@ -143,18 +135,6 @@ def test_svd_input_validation():
         truncated_svd(np.array([[np.nan, 1.0]]), 1)
     with pytest.raises(InputError):
         truncated_svd(np.ones(3), 1)
-
-
-def test_data_matrix_validation():
-    dm = DataMatrix(np.arange(6.0).reshape(2, 3))
-    assert dm.values.shape == (2, 3)
-    assert not dm.values.flags.writeable
-    with pytest.raises(InputError):
-        DataMatrix(np.ones(3))
-    with pytest.raises(InputError):
-        DataMatrix(np.empty((0, 3)))
-    with pytest.raises(InputError):
-        DataMatrix(np.array([[1.0, np.inf]]))
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +296,7 @@ def test_svd_values_beyond_the_float_range_raise_numerical_error(k):
         truncated_svd(A, k)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # dividing by s = 0 would warn
 def test_svd_gram_path_declines_a_zero_kth_eigenvalue(svd_paths, monkeypatch):
     # rank 2 at k = 4: subspace iteration would certify the null directions,
     # so it is made to hand off; W W^T = diag(9, 4, 0, ...) has lambda_4 = 0

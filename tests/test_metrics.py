@@ -226,6 +226,18 @@ def test_davies_bouldin_coincident_centroids_is_inf():
     assert davies_bouldin(pts, [0, 0, 1, 1]) == np.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("points", [[[1.7e308], [1.7e308], [0.0], [1.0]], [[1e308], [-1e308], [0.0], [1.0]]],
+                         ids=["centroid", "scatter"])
+def test_davies_bouldin_rejects_overflowing_points(points):
+    # the first cluster's centroid mean, or its scatter's squares, overflow:
+    # one InputError, the one silhouette_mean raises, and no warning first
+    message = "squared distances overflow float64; rescale the points"
+    for metric in (davies_bouldin, silhouette_mean):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            metric(points, [0, 0, 1, 1])
+
+
 def test_davies_bouldin_prefers_separation():
     rng = np.random.default_rng(3)
     tight = np.vstack([rng.normal(size=(20, 2)) * 0.1, rng.normal(size=(20, 2)) * 0.1 + 8.0])

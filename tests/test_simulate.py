@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from eotmaps import InputError, preset, sample_gmm, sample_torus
+from eotmaps import InputError, preset, sample_gmm, sample_torus, truncated_svd
+from eotmaps.linalg import as_labels
 from eotmaps.simulate import _noise_std
 
 
@@ -147,18 +148,16 @@ def test_caller_arrays_are_checked_not_cast(name, bad):
     ([0, 1], "must be a vector of length 3"),
 ], ids=["complex-array", "complex-in-list", "text", "nan", "fraction", "beyond-int64", "length"])
 def test_latent_labels_follow_the_label_rule(labels, message):
-    from eotmaps import LatentSample
-
+    # a LatentSample holds the samplers' int64 labels unchecked; labels from a
+    # caller (the metrics', the CLI's) go through linalg.as_labels
     with pytest.raises(InputError, match=f"^labels {message}"):
-        LatentSample(points=np.zeros((3, 2)), labels=labels)
+        as_labels(labels, 3)
 
 
 def test_latent_labels_accept_integer_valued_floats():
-    from eotmaps import LatentSample
-
-    lat = LatentSample(points=np.zeros((3, 2)), labels=[2.0, 0.0, 5.0])
-    assert lat.labels.dtype == np.int64
-    np.testing.assert_array_equal(lat.labels, [2, 0, 5])
+    labels = as_labels([2.0, 0.0, 5.0], 3)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [2, 0, 5])
 
 def _stream(seed, dataset, role):
     """The Philox stream keyed by (seed, dataset, role): role 1 is the nuisance, 2 the noise."""
@@ -229,6 +228,18 @@ def test_preset_deterministic():
     np.testing.assert_array_equal(a.Y.values, b.Y.values)
     c = preset("setting2", m=5, n=7, p=6, seed=12)
     assert np.abs(a.X.values - c.X.values).max() > 1e-3
+
+
+def test_preset_clouds_are_read_only_records():
+    # X and Y wrap the fresh draw, not a copy; library functions take .values
+    pair = preset("clustering", m=5, n=6, p=8, seed=0)
+    assert pair.latent_x.labels.dtype == np.int64
+    for cloud in (pair.X.values, pair.Y.values):
+        assert cloud.dtype == np.float64 and not cloud.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cloud[0, 0] = 0.0
+    with pytest.raises(InputError, match="^A must be a matrix of real numbers$"):
+        truncated_svd(pair.X, 2)
 
 
 def test_preset_latents_are_independent_draws():

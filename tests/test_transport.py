@@ -14,7 +14,6 @@ from eotmaps import (
     ConvergenceError,
     DegenerateBandwidthError,
     InputError,
-    LatentSample,
     NumericalError,
     TransportPlan,
     median_bandwidth,
@@ -561,6 +560,20 @@ def test_non_finite_mix_restarts_from_the_plain_step(monkeypatch):
     assert marginal_residual(plan.W) <= 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_scalings_raise(monkeypatch):
+    # a sweep whose column duals come back non-finite stops Sinkhorn by name
+    kernel_sweep = transport._kernel_sweep
+
+    def poisoned(*args):
+        step = kernel_sweep(*args)
+        return step and (np.full_like(step[0], np.nan), step[1])
+
+    monkeypatch.setattr(transport, "_kernel_sweep", poisoned)
+    with pytest.raises(NumericalError, match="^Sinkhorn scalings became non-finite$"):
+        sinkhorn(RNG.normal(size=(6, 8)))
+
+
 def setting1_log_kernel():
     pair = preset("setting1", 200, 200, 50, 0, 8)
     D2 = squared_distance_matrix(pair.X.values, pair.Y.values)
@@ -854,8 +867,6 @@ def test_plan_container_rejects_corrupt_fields():
 def test_containers_reject_non_numeric_arrays(bad):
     with pytest.raises(InputError, match="W must be a matrix of real numbers"):
         TransportPlan(W=bad, epsilon=None)
-    with pytest.raises(InputError, match="latent points must be a matrix of real numbers"):
-        LatentSample(points=bad)
 
 
 def test_plan_container_stores_a_float_array():
