@@ -15,6 +15,8 @@ unchecked, with the bits ``squared_distance_matrix`` gives them.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import InputError
@@ -188,18 +190,30 @@ def neighbor_purity(points, labels, k: int = DEFAULT_NEIGHBORS) -> float:
 
 
 def _lloyd(P: np.ndarray, sq_p: np.ndarray, centers: np.ndarray):
-    k = centers.shape[0]
+    k, d = centers.shape
+    PT = np.ascontiguousarray(P.T)
     labels = np.argmin(_squared_distances(P, centers, sq_p), axis=1)
     for _ in range(_KMEANS_MAX_ITER):
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = P[mask].mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the point farthest from its center.
-                _check_distinct(P, k)
-                d2 = np.min(_squared_distances(P, centers, sq_p), axis=1)
-                centers[c] = P[int(np.argmax(d2))]
+        counts = np.bincount(labels, minlength=k)
+        if d >= 2 and counts.all():
+            # numpy pairwise-sums only along the fast axis (numpy.sum, Notes), so at d >= 2
+            # P[mask].mean(0) adds rows in index order, as bincount does; d = 1 keeps the loop.
+            for j in range(d):
+                centers[:, j] = np.bincount(labels, weights=PT[j], minlength=k)
+            centers /= counts[:, None]
+        else:
+            for c in range(k):
+                mask = labels == c
+                if mask.any():
+                    centers[c] = P[mask].mean(axis=0)
+                else:
+                    # Re-seed an empty cluster at the point farthest from its nearest centre.
+                    _check_distinct(P, k)
+                    d2 = reduce(np.minimum, _squared_distances(P, centers, sq_p).T)
+                    if not d2.max() > 0:  # distinct points whose distances all round to 0
+                        raise InputError(f"k={k} clusters: the points' squared distances "
+                                         "round to 0 in float64; centre or rescale the points")
+                    centers[c] = P[int(np.argmax(d2))]
         new_labels = np.argmin(_squared_distances(P, centers, sq_p), axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -220,7 +234,7 @@ def _seed_centers(P: np.ndarray, sq_p: np.ndarray, k: int, rng: np.random.Genera
     N = P.shape[0]
     chosen = [int(rng.integers(N))]
     for _ in range(k - 1):
-        d2 = np.min(_squared_distances(P, P[chosen], sq_p), axis=1)
+        d2 = reduce(np.minimum, _squared_distances(P, P[chosen], sq_p).T)  # np.min's bits
         total = d2.sum()
         if total > 0:
             chosen.append(int(rng.choice(N, p=d2 / total)))
@@ -235,19 +249,21 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, best of 10 restarts.
 
     Restart r uses its own counter-based stream derived from (seed, r), so
-    results are reproducible, and runs at most 200 Lloyd steps.  Empty
-    clusters are re-seeded at the point farthest from its assigned center;
-    fewer than k distinct points raise InputError.  Returns the labeling
-    with the lowest within-cluster sum of squares.
+    results are reproducible; each runs at most 200 Lloyd steps, and the
+    lowest within-cluster sum of squares wins.  A step sums the centres by one
+    ``bincount`` per coordinate (the per-cluster mean's bits) unless d = 1 or a
+    cluster is empty; an empty cluster is re-seeded at the point farthest from
+    its nearest center.  Fewer than k distinct points, or k distinct points
+    whose squared distances all round to 0, raise InputError.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0])
+    seed = check_int(seed, "seed", 0)
     sq_p = np.einsum("ij,ij->i", P, P)  # P is checked once, not per distance call
 
     best_labels, best_wcss = None, np.inf
     for restart in range(_KMEANS_RESTARTS):
-        rng = _stream(seed, 3, restart)  # role 3: clustering restarts
-        centers = _seed_centers(P, sq_p, k, rng)
+        centers = _seed_centers(P, sq_p, k, _stream(seed, 3, restart))  # role 3: restarts
         labels, wcss = _lloyd(P, sq_p, centers)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss

@@ -35,8 +35,7 @@ GMM_MEAN_SCALE = 5.0
 
 
 def _stream(seed, *key: int) -> np.random.Generator:
-    """Philox generator for one (seed, *key) slot."""
-    seed = check_int(seed, "seed", 0)
+    """Philox generator for one (seed, *key) slot; ``seed`` is checked by the caller."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + key)))
 
 
@@ -69,7 +68,7 @@ def sample_torus(count: int, seed, dataset: int = 1) -> LatentSample:
     Angles u, v are independent U[0, 2*pi); the point is
     ((2 + 0.8 cos u) cos v, (2 + 0.8 cos u) sin v, 0.8 sin u).
     """
-    count = check_int(count, "count", 1)
+    count, seed = check_int(count, "count", 1), check_int(seed, "seed", 0)
     rng = _stream(seed, int(dataset), _ROLE_LATENT)
     u = rng.uniform(0.0, 2.0 * np.pi, count)
     v = rng.uniform(0.0, 2.0 * np.pi, count)
@@ -80,7 +79,7 @@ def sample_torus(count: int, seed, dataset: int = 1) -> LatentSample:
 
 def sample_gmm(count: int, seed, dataset: int = 1) -> LatentSample:
     """Six equiprobable Gaussian classes in R^6, means 5*e_c, identity covariance."""
-    count = check_int(count, "count", 1)
+    count, seed = check_int(count, "count", 1), check_int(seed, "seed", 0)
     rng = _stream(seed, int(dataset), _ROLE_LATENT)
     labels = rng.integers(0, GMM_CLASSES, size=count)
     means = GMM_MEAN_SCALE * np.eye(GMM_CLASSES)

@@ -394,6 +394,102 @@ def test_lloyd_reseeds_an_empty_cluster_at_the_farthest_point():
     assert wcss == 0.5
 
 
+def test_kmeans_rejects_distinct_points_whose_distances_round_to_zero():
+    # k distinct points far from the origin: the norm expansion rounds every
+    # point-to-centre distance to 0, so no re-seed can fill the empty cluster;
+    # kmeans raises instead of returning fewer than k clusters
+    far = np.nextafter(1e8, 2e8)
+    message = "k=2 clusters: the points' squared distances round to 0 in float64"
+    with pytest.raises(InputError, match=message):
+        kmeans([[1e8], [far]], 2)
+    with pytest.raises(InputError, match="centre or rescale the points"):
+        kmeans([[1e8, 0.0], [far, 0.0], [1e8 + 64, 0.0]], 3)
+
+
+def _oracle_seed_centers(P, sq_p, k, rng):
+    """_seed_centers as it was before the running minimum: np.min over each row."""
+    N = P.shape[0]
+    chosen = [int(rng.integers(N))]
+    for _ in range(k - 1):
+        d2 = np.min(transport_module._squared_distances(P, P[chosen], sq_p), axis=1)
+        total = d2.sum()
+        if total > 0:
+            chosen.append(int(rng.choice(N, p=d2 / total)))
+        else:
+            chosen.append(next(i for i in range(N) if i not in chosen))
+    return P[chosen].copy()
+
+
+def _oracle_lloyd(P, sq_p, centers):
+    """_lloyd as it was before bincount: one masked mean per cluster and step."""
+    k = centers.shape[0]
+    labels = np.argmin(transport_module._squared_distances(P, centers, sq_p), axis=1)
+    for _ in range(metrics_module._KMEANS_MAX_ITER):
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = P[mask].mean(axis=0)
+            else:
+                d2 = np.min(transport_module._squared_distances(P, centers, sq_p), axis=1)
+                centers[c] = P[int(np.argmax(d2))]
+        new_labels = np.argmin(transport_module._squared_distances(P, centers, sq_p), axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, float(((P - centers[labels]) ** 2).sum())
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(35)
+    for i in range(40):
+        d, k = 1 + i % 5, 1 + i % 8
+        N = int(rng.integers(k + 10, 300))
+        P = rng.normal(size=(N, d)) * 10.0 ** rng.uniform(-3, 3)
+        if i % 4 == 1:
+            P = np.round(P / np.abs(P).max() * 20)  # integer coordinates
+        elif i % 4 == 2:
+            P = P[rng.integers(0, N // 3, N)]  # duplicates
+        if np.unique(P, axis=0).shape[0] >= k:
+            yield P, k, None
+    P = rng.normal(size=(500, 3))
+    far = np.vstack([P[:3], [[1e3, 1e3, 1e3]]])  # its cluster is empty: a re-seed
+    yield P, 4, far
+    blobs = 10.0 * rng.normal(size=(5, 2))
+    yield blobs[rng.integers(0, 5, 100_000)] + rng.normal(size=(100_000, 2)), 5, None
+
+
+def test_kmeans_steps_keep_the_bits_of_the_per_cluster_mean():
+    # the bincount centre update and the running-minimum seeding must give
+    # the labels, centres and within-cluster sums of the masked-mean steps
+    for P, k, start in _oracle_cases():
+        sq_p = np.einsum("ij,ij->i", P, P)
+        got = metrics_module._seed_centers(P, sq_p, k, np.random.default_rng(k))
+        want = _oracle_seed_centers(P, sq_p, k, np.random.default_rng(k))
+        np.testing.assert_array_equal(got, want)
+        if start is not None:
+            got, want = start.copy(), start.copy()
+        got_labels, got_wcss = metrics_module._lloyd(P, sq_p, got)
+        want_labels, want_wcss = _oracle_lloyd(P, sq_p, want)
+        np.testing.assert_array_equal(got_labels, want_labels)
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+
+
+def test_bincount_sums_are_the_masked_mean_for_two_or_more_columns():
+    # canary: _lloyd relies on numpy adding rows one at a time when it reduces
+    # a C-ordered (cnt, d >= 2) array over axis 0; a numpy that sums that axis
+    # pairwise would fail here instead of moving kmeans' labels
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 5, 8):
+        P = rng.normal(size=(5000, d)) * 1e3
+        labels = rng.integers(0, 4, size=5000)
+        counts = np.bincount(labels, minlength=4)
+        PT = np.ascontiguousarray(P.T)
+        sums = np.column_stack([np.bincount(labels, weights=PT[j], minlength=4) for j in range(d)])
+        masked = np.vstack([P[labels == c].mean(axis=0) for c in range(4)])
+        np.testing.assert_array_equal(sums / counts[:, None], masked)
+
+
 def test_kmeans_validation():
     P = np.zeros((5, 2))
     P[1] = 1.0
@@ -403,6 +499,12 @@ def test_kmeans_validation():
         kmeans(P, 6)
     with pytest.raises(InputError):
         kmeans(P, 2.0)
+    with pytest.raises(DimensionError, match="^k must be"):
+        kmeans(P, 0, seed=-1)  # k is checked before seed
+    with pytest.raises(DimensionError, match=r"^seed must be >= 0, got -1$"):
+        kmeans(P, 2, seed=-1)
+    with pytest.raises(InputError, match=r"^seed must be an integer, got 1.0$"):
+        kmeans(P, 2, seed=1.0)
 
 
 def test_kmeans_quality_on_gaussian_mixture():

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from eotmaps import InputError, preset, sample_gmm, sample_torus, truncated_svd
+from eotmaps import DimensionError, InputError, preset, sample_gmm, sample_torus, truncated_svd
 from eotmaps.linalg import as_labels
 from eotmaps.simulate import _noise_std
 
@@ -275,3 +275,26 @@ def test_preset_validation():
         preset("setting2", m=5, n=5, p=6, seed=0, param=1e308)  # gamma * theta overflows
     with pytest.raises(InputError):
         sample_torus(True, 0)
+
+
+def test_seed_is_checked_once_per_sampler_with_the_same_messages(monkeypatch):
+    import eotmaps.simulate as simulate
+
+    for call in (lambda s: preset("clustering", 5, 6, 8, s), lambda s: sample_torus(5, s),
+                 lambda s: sample_gmm(5, s)):
+        with pytest.raises(DimensionError, match=r"^seed must be >= 0, got -1$"):
+            call(-1)
+        with pytest.raises(InputError, match=r"^seed must be an integer, got 1.0$"):
+            call(1.0)
+    with pytest.raises(DimensionError, match=r"^count must be >= 1, got 0$"):
+        sample_gmm(0, -1)  # count is checked before seed
+    seen = []
+    check_int = simulate.check_int
+
+    def counted(value, name, *bounds):
+        seen.append(name)
+        return check_int(value, name, *bounds)
+
+    monkeypatch.setattr(simulate, "check_int", counted)
+    preset("setting2", 5, 6, 8, 0)
+    assert seen.count("seed") == 2  # one per sampler call, none per stream
