@@ -7,10 +7,20 @@ round x.y differently by column position (OpenBLAS does), so a point's
 distances to two coincident points with non-dyadic coordinates can differ
 by a few ulps, and either twin may rank first.  Integer and dyadic
 coordinates give exact distances.
-Distances are built 256 rows at a time; each row's k-th smallest value is
-found by selection, and only the entries at or below it are sorted.  Each
-metric checks its points once; the row blocks go to the distance kernel
-unchecked, with the bits ``squared_distance_matrix`` gives them.
+Neighbor balls come from two sources.  Points with at most three
+coordinates are bucketed in a uniform grid (cell lists; Bentley, Stanat &
+Williams 1977, Inf. Process. Lett. 6(6)) whose side h is the largest k-th
+neighbor distance over a strided sample of about 64 rows, and each cell's
+rows are compared only with the points of its 3^d neighboring cells.  A
+row's result is kept only when its k-th squared distance, plus a rounding
+margin for the norm expansion, is below the squared distance to the nearest
+face of that box with cells beyond it, so no point outside the box could
+enter its ball.  Every other row, and every row of higher-dimensional
+points or of a cloud whose h is 0, is compared with all points, 256 rows at
+a time.  Either way each row's k-th smallest value is found by selection,
+only the entries at or below it are sorted, and the same tie rule applies.
+Each metric checks its points once; the row blocks go to the distance
+kernel unchecked, with the bits ``squared_distance_matrix`` gives them.
 """
 
 from __future__ import annotations
@@ -26,6 +36,15 @@ from .transport import _squared_distances
 
 DEFAULT_NEIGHBORS = 50
 _ROW_BLOCK = 256  # rows of squared distances held at once
+# the cell grid serves points with at most this many coordinates: at d = 4
+# (81 cells a box) it was slower than the blocks on a 4000 x 4 normal cloud
+_GRID_DIMS = 3
+# rows whose k-th neighbor distances set the cell side: on the 4000 x 3
+# benchmark embeddings 16 rows left up to 4x more rows to the blocks, and 256
+# cost more in their own distances than they saved
+_GRID_SAMPLE = 64
+_GRID_AXIS_CELLS = 2**20  # (2^20 + 3)^3 < 2^63: cell keys fit in an int64
+_GRID_ROUNDING = 2.0**-48  # 32 unit roundoffs: the certification's rounding margin
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 200  # Lloyd steps per restart
 
@@ -35,20 +54,108 @@ def _block_distances(block: np.ndarray, P: np.ndarray) -> np.ndarray:
     return _squared_distances(block, P, np.einsum("ij,ij->i", block, block))
 
 
-def _neighbor_balls(P: np.ndarray, k: int):
-    """Yield (rows, D2, inside) for consecutive blocks of at most 256 rows.
+def _balls(P: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int):
+    """(D2, kth): squared distances of ``rows`` to the ascending points ``cols``, each
+    row's own entry inf, and each row's k-th smallest value."""
+    D2 = _block_distances(P[rows], P if cols.size == P.shape[0] else P[cols])  # all: no copy
+    D2[np.arange(rows.size), np.searchsorted(cols, rows)] = np.inf
+    return D2, np.partition(D2, k - 1, axis=1)[:, k - 1]
 
-    D2 holds the squared distances of the block's rows to every point, with
+
+def _grid_balls(P: np.ndarray, k: int):
+    """Yield the (rows, cols, D2, inside) of the rows the cell grid certifies; return the rest.
+
+    The cell side h is the largest k-th-neighbor distance over a strided
+    sample of about _GRID_SAMPLE rows, found by the blocks' code.  Each
+    occupied cell's rows are compared with the points of its 3^d
+    neighboring cells only, in ascending index order; the last axis varies
+    fastest in the cell keys, so those points are 3^(d-1) runs of the
+    key-sorted order.  A row is kept when no point outside its 3^d box can
+    reach its ball (``_box_limits``).  The rest go back to the caller, and
+    so does every row when h is 0 or an axis would need 2^20 cells.
+    """
+    N, d = P.shape
+    sample = np.arange(0, N, max(1, N // _GRID_SAMPLE))
+    h = float(np.sqrt(_balls(P, sample, np.arange(N), k)[1].max()))
+    lo = P.min(axis=0)
+    span = P.max(axis=0) - lo
+    # h = 0 (duplicates) fails this test before any division; below 2^20
+    # cells an axis, (P - lo) / h cannot overflow and the keys fit in an int64
+    if not (span < h * _GRID_AXIS_CELLS).all():
+        return np.arange(N)
+    cell = np.floor((P - lo) / h).astype(np.intp)
+    ends = cell.max(axis=0)
+    strides = np.cumprod(np.append(1, ends[:0:-1] + 3))[::-1]  # an empty cell each side
+    key = (cell + 1) @ strides
+    order = np.argsort(key, kind="stable")  # cell by cell, ascending index within one
+    sorted_key = key[order]
+    cells, first, counts = np.unique(sorted_key, return_index=True, return_counts=True)
+    shifts = np.indices((3,) * (d - 1)).reshape(d - 1, 3 ** (d - 1)).T - 1
+    runs = cells[:, None] + shifts @ strides[:-1]  # each run: 3 cells along the last axis
+    starts = np.searchsorted(sorted_key, runs - 1)
+    stops = np.searchsorted(sorted_key, runs + 1, side="right")
+    reach = (stops - starts).sum(axis=1)  # points in each cell's box, its own rows included
+    limit = _box_limits(P, h, lo, cell, ends)
+    left = [order[first[c] : first[c] + counts[c]] for c in np.flatnonzero(reach <= k)]
+    for c in np.flatnonzero(reach > k):
+        cell_rows = order[first[c] : first[c] + counts[c]]
+        cols = np.sort(np.concatenate([order[a:b] for a, b in zip(starts[c], stops[c])]))
+        chunk = max(1, _ROW_BLOCK * N // cols.size)  # at most 256 N distances held
+        for at in range(0, cell_rows.size, chunk):
+            rows = cell_rows[at : at + chunk]
+            D2, kth = _balls(P, rows, cols, k)
+            kept = kth < limit[rows]
+            if not kept.all():
+                left.append(rows[~kept])
+                rows, D2, kth = rows[kept], D2[kept], kth[kept]
+            if rows.size:
+                yield rows, cols, D2, D2 <= kth[:, None]
+    return np.concatenate(left) if left else np.arange(0)
+
+
+def _box_limits(P: np.ndarray, h: float, lo: np.ndarray, cell: np.ndarray,
+                ends: np.ndarray) -> np.ndarray:
+    """Each point's bound on its computed k-th squared distance, for the grid to keep its row.
+
+    rho is the distance from the point to the nearest face of its 3^d box
+    that has cells beyond it (inf when no face has), less
+    _GRID_ROUNDING * (max|p| + h) for the rounding of floor((p - lo) / h)
+    and of rho itself.  The norm expansion computes a squared distance D
+    with error at most gamma_{d+2} (|x| + |y|)^2 <= gamma_{d+2} (8|x|^2 + 2D)
+    (Higham, Accuracy and Stability, 2nd ed., section 3.5), so every point y
+    outside the box computes above rho^2 (1 - 2 gamma) - 8 gamma |x|^2.  The
+    bound is rho^2 (1 - eps) - 2 eps |x|^2 with eps = _GRID_ROUNDING = 32u:
+    eps >= 4 gamma_5 with room for the rounding of the bound itself, so a
+    computed k-th value below it leaves out no point beyond the box.
+    """
+    offset = P - lo
+    below = np.where(cell >= 2, offset - (cell - 1) * h, np.inf)
+    above = np.where(cell <= ends - 2, (cell + 2) * h - offset, np.inf)
+    slack = _GRID_ROUNDING * (float(np.abs(P).max()) + h)
+    rho = np.maximum(np.minimum(below, above).min(axis=1) - slack, 0.0)
+    sq = np.einsum("ij,ij->i", P, P)
+    # rho^2 overflows only past a span of 2^512, where some |p|^2 > 2^1022 and
+    # that point's own block raises the distance kernel's InputError
+    with np.errstate(over="ignore"):
+        return rho * rho * (1.0 - _GRID_ROUNDING) - 2.0 * _GRID_ROUNDING * sq
+
+
+def _neighbor_balls(P: np.ndarray, k: int):
+    """Yield (rows, cols, D2, inside): the rows' k-NN balls among ascending columns ``cols``.
+
+    D2 holds the squared distances of the rows to the points ``cols``, with
     each row's own entry set to inf; ``inside`` marks each row's k-NN ball,
-    its entries at or below the row's k-th smallest value.
+    its entries at or below the row's k-th smallest value.  Rows of points
+    with d <= _GRID_DIMS come from the cell grid where it certifies them;
+    every other row comes in blocks of at most 256 rows against every point.
     """
     N = P.shape[0]
-    for start in range(0, N, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, N))
-        D2 = _block_distances(P[rows], P)
-        D2[np.arange(rows.size), rows] = np.inf
-        kth = np.partition(D2, k - 1, axis=1)[:, k - 1]
-        yield rows, D2, D2 <= kth[:, None]
+    rest = (yield from _grid_balls(P, k)) if P.shape[1] <= _GRID_DIMS else np.arange(N)
+    every = np.arange(N)
+    for start in range(0, rest.size, _ROW_BLOCK):
+        rows = rest[start : start + _ROW_BLOCK]
+        D2, kth = _balls(P, rows, every, k)
+        yield rows, every, D2, D2 <= kth[:, None]
 
 
 def knn(points, k: int) -> np.ndarray:
@@ -57,16 +164,23 @@ def knn(points, k: int) -> np.ndarray:
     Row i lists i's neighbors, nearest first.  Equal computed squared
     distances go to the smaller index (a stable sort); coincident points
     with non-dyadic coordinates need not compute equal (see the module
-    docstring).  A point is never its own neighbor.  Takes O(N^2 d) time
-    and O(256 N) memory: only each row's k-NN ball is sorted.
+    docstring).  A point is never its own neighbor.  Only each row's k-NN
+    ball is sorted, and at most 256 N distances are held at once.
+
+    For d <= 3 the rows come from a cell grid (module docstring): each cell's
+    rows against the points of its 3^d neighboring cells, about O(N k 3^d)
+    distances on evenly spread points.  Rows the grid cannot certify (too
+    few points in their box, or a k-th distance reaching past its nearest
+    face) and all rows when d > 3 or the sampled cell side is 0 are compared
+    with every point, 256 at a time: O(N^2 d) time at worst.
     """
     P = as_matrix(points, "points")
     k = check_int(k, "k", 1, P.shape[0] - 1)
     indices = np.empty((P.shape[0], k), dtype=np.intp)
-    for rows, D2, inside in _neighbor_balls(P, k):
+    for rows, cols, D2, inside in _neighbor_balls(P, k):
         flat = np.flatnonzero(inside)  # row by row, ascending index
-        r, c = np.divmod(flat, P.shape[0])
-        ranked = c[np.lexsort((D2.ravel()[flat], r))]  # each row nearest first, stable
+        r, c = np.divmod(flat, cols.size)
+        ranked = cols[c[np.lexsort((D2.ravel()[flat], r))]]  # each row nearest first, stable
         first = np.searchsorted(r, np.arange(rows.size))
         indices[rows] = ranked[first[:, None] + np.arange(k)]
     return indices
@@ -183,8 +297,8 @@ def neighbor_purity(points, labels, k: int = DEFAULT_NEIGHBORS) -> float:
     labels = as_labels(labels, P.shape[0])
     k = check_int(k, "k", 1, P.shape[0] - 1)
     fractions = np.empty(P.shape[0])
-    for rows, _, inside in _neighbor_balls(P, k):
-        same = labels[None, :] == labels[rows, None]
+    for rows, cols, _, inside in _neighbor_balls(P, k):
+        same = labels[None, cols] == labels[rows, None]
         fractions[rows] = (inside & same).sum(axis=1) / inside.sum(axis=1)
     return float(fractions.mean())
 

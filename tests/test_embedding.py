@@ -436,3 +436,21 @@ def test_spectral_model_factors_follow_the_callers_order(pair):
     emb = embed_from_model(model, q=3, t=1)
     np.testing.assert_array_equal(emb.Xt, eot_eigenmaps(X, Y, q=3, t=1).Xt)
     assert emb.Xt.shape == (len(X), 3) and emb.Yt.shape == (len(Y), 3)
+
+
+@pytest.mark.parametrize("name,param", [("setting1", 8.0), ("setting2", 3.0), ("clustering", 3.0)])
+def test_permuting_the_points_permutes_the_embedding(name, param):
+    # metamorphic: the coordinates follow the points, so the sign rule and
+    # the orientation logic must not read the input order; both orientations
+    # (the plan is solved wide, so X the larger cloud is stored transposed).
+    # Measured worst case 2.2e-14 over the three presets x seeds 0-2.
+    for seed in range(3):
+        pair = preset(name, 300, 400, 100, seed, param)
+        for X, Y in ((pair.X.values, pair.Y.values), (pair.Y.values, pair.X.values)):
+            rng = np.random.default_rng(seed)
+            px, py = rng.permutation(len(X)), rng.permutation(len(Y))
+            ref = eot_eigenmaps(X, Y, q=3, t=1)
+            got = eot_eigenmaps(X[px], Y[py], q=3, t=1)
+            np.testing.assert_allclose(got.Xt, ref.Xt[px], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.Yt, ref.Yt[py], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.s_used, ref.s_used, rtol=0, atol=1e-12)

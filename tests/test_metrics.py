@@ -57,7 +57,12 @@ def _argsort_knn(P, k):
 
 _ORACLE_RNG = np.random.default_rng(12)
 # integer and dyadic coordinates make every distance exact, so their ties
-# are true ties; the sizes straddle the 256-row block
+# are true ties; the sizes straddle the 256-row block.  Clouds of d <= 3
+# reach the cell grid: "duplicates" has cell side 0 and goes to the blocks
+# before any division, "line" has one axis, "flat-strip" one axis of about
+# one cell, and "five-far" a mostly empty grid at k = 1 and one sampled far
+# point that makes the whole cloud one box at k = 7; the rows of the tails
+# of "grid-normal" fail certification
 ORACLE_CLOUDS = {
     "random": _ORACLE_RNG.normal(size=(600, 3)),
     "below-block": _ORACLE_RNG.normal(size=(40, 5)),
@@ -66,6 +71,10 @@ ORACLE_CLOUDS = {
     "grid": np.indices((17, 17)).reshape(2, -1).T.astype(float),
     "cube": 0.5 * np.indices((7, 7, 7)).reshape(3, -1).T,
     "duplicates": np.repeat(_ORACLE_RNG.integers(0, 4, size=(100, 2)).astype(float), 3, axis=0),
+    "grid-normal": _ORACLE_RNG.normal(size=(1500, 3)),
+    "line": _ORACLE_RNG.normal(size=(1000, 1)),
+    "flat-strip": _ORACLE_RNG.normal(size=(1200, 2)) * [1.0, 1e-3],
+    "five-far": np.vstack([_ORACLE_RNG.normal(size=(600, 3)), 1e3 + _ORACLE_RNG.normal(size=(5, 3))]),
 }
 
 
@@ -107,6 +116,68 @@ def test_jaccard_equals_membership_matrix_formula(name):
         assert jaccard_concordance(E, L, k=k) == expected
 
 
+def _counted_distances(monkeypatch):
+    """Record the (rows, columns) of every squared-distance block the metrics build."""
+    shapes = []
+
+    def counted(X, Y, sq_x, kernel=metrics_module._squared_distances):
+        shapes.append((X.shape[0], Y.shape[0]))
+        return kernel(X, Y, sq_x)
+
+    monkeypatch.setattr(metrics_module, "_squared_distances", counted)
+    return shapes
+
+
+def test_knn_grid_serves_a_normal_cloud(monkeypatch):
+    # the grid compares each row with its 3^3 neighboring cells only; the
+    # 256-row blocks would build all N^2 distances.  At k = 1 the largest
+    # sampled neighbor distance sets a cell side that keeps the count well
+    # below N^2 / 3 (0.15 N^2 here); on normal clouds it reached 0.41 N^2 at
+    # k = 7 and 0.85 N^2 at k = 50, where one sampled tail row widens the cells
+    P = np.random.default_rng(2000).normal(size=(2000, 3))
+    shapes = _counted_distances(monkeypatch)
+    nbrs = knn(P, 1)
+    assert sum(rows * cols for rows, cols in shapes) < P.shape[0] ** 2 / 3
+    monkeypatch.undo()
+    assert np.array_equal(nbrs, _argsort_knn(P, 1))
+
+
+def test_knn_far_cluster_rows_go_to_the_blocks(monkeypatch):
+    # k/2 points far off the cloud have fewer than k points in their cells'
+    # boxes, so the grid cannot certify them and they are compared with every
+    # point; they sit off the sample's stride of 31 rows, so the cell side
+    # comes from the main cloud
+    k, N = 50, 2025
+    rng = np.random.default_rng(2025)
+    P = rng.normal(size=(N, 3))
+    far = 31 * np.arange(k // 2) + 1
+    P[far] = [40.0, 0.0, 0.0] + 0.1 * rng.normal(size=(k // 2, 3))
+    shapes = _counted_distances(monkeypatch)
+    nbrs = knn(P, k)
+    assert sum(rows for rows, cols in shapes[1:] if cols == N) >= k // 2  # after the sample
+    monkeypatch.undo()
+    assert np.array_equal(nbrs, _argsort_knn(P, k))
+
+
+def test_knn_is_invariant_under_power_of_two_scaling():
+    # 2^j scales every computed distance, the cell side and the certification
+    # bounds exactly, so the neighbor lists may not move
+    P = ORACLE_CLOUDS["grid-normal"]
+    want = knn(P, 7)
+    for j in range(-20, 31):
+        assert np.array_equal(knn(P * 2.0**j, 7), want), j
+
+
+def test_knn_permuting_the_points_permutes_the_neighbors():
+    # normal draws leave no ties, so the lists follow the points; the grid's
+    # cells, the sample and the 256-row blocks all see the points in a new order
+    P = ORACLE_CLOUDS["grid-normal"]
+    perm = np.random.default_rng(7).permutation(P.shape[0])
+    where = np.argsort(perm)  # where[i]: the new index of point i
+    for k in (7, 50):
+        assert np.array_equal(knn(P[perm], k), where[knn(P, k)[perm]])
+
+
 def test_knn_rejects_overflowing_distances():
     # squared distances overflow float64 here; unchecked, row 0 listed itself
     with pytest.raises(InputError, match="rescale"):
@@ -115,8 +186,9 @@ def test_knn_rejects_overflowing_distances():
 
 @pytest.mark.parametrize("name", ["knn", "neighbor_purity", "silhouette_mean"])
 def test_metrics_check_their_points_once(monkeypatch, name):
-    # 600 points make three 256-row distance blocks; checking both arguments
-    # of squared_distance_matrix for each block would make 7 checks
+    # 600 points make many distance blocks (grid cells, 256-row blocks);
+    # checking both arguments of squared_distance_matrix for each would add
+    # two checks a block
     checked = []
     for module in (metrics_module, transport_module):
         def counted(a, *args, check=module.as_matrix):
