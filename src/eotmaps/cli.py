@@ -52,22 +52,18 @@ def _apply_threads(threads: int | None):
         os.environ[var] = str(threads)
 
 
-def _loadtxt(path: str, **kwargs):
-    """``np.loadtxt`` of a CSV file as a 2-D array, without numpy's warning on a
-    file with no data rows: the callers report that file in their own error line."""
+def _read_matrix(path: str, dtype=float, skiprows: int = 0):
+    """The CSV matrix at ``path`` after ``skiprows`` header lines; a float one goes
+    through ``linalg.as_matrix``.  numpy's warning on a file with no data rows is
+    silenced: the "is empty" error line reports that file."""
     import numpy as np
 
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
-
-
-def _read_matrix(path: str, dtype=float):
-    """The CSV matrix at ``path``; a float one goes through ``linalg.as_matrix``."""
     from . import linalg
 
     try:
-        arr = _loadtxt(path, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(path, dtype=dtype, delimiter=",", ndmin=2, skiprows=skiprows)
     except OSError:
         raise InputError(f"cannot read {path}")
     except ValueError as exc:
@@ -118,20 +114,13 @@ def _read_labels(path: str):
 
 
 def _read_embedding(path: str):
-    from . import linalg
-
     header = _read_text(path, lambda fh: fh.readline().strip())
     if not header.startswith("dataset,point_index,coord_1"):
         raise InputError(f"{path} does not look like an embedding file (bad header)")
-    try:
-        arr = _loadtxt(path, skiprows=1)
-    except ValueError as exc:
-        raise InputError(f"{path} has malformed rows: {exc}")
-    if arr.shape[0] == 0:
-        raise InputError(f"{path} holds no rows")
+    arr = _read_matrix(path, skiprows=1)
     if arr.shape[1] < 3:
         raise InputError(f"{path} must have at least one coordinate column")
-    return linalg.as_matrix(arr[:, 2:], path)
+    return arr[:, 2:]
 
 
 def _load_config(path: str) -> dict:
@@ -186,12 +175,16 @@ def cmd_simulate(args) -> int:
 
 
 def _plan(args):
-    """Read X and Y and solve their plan."""
-    from . import transport
+    """Check the plan flags, then read X and Y and solve their plan."""
+    from . import linalg, transport
 
+    epsilon = _parse_flag(args.epsilon, "--epsilon", "median", float, "a number")
+    if epsilon != "median":
+        linalg.check_real(epsilon, "epsilon", 0, strict=True)
+    linalg.check_real(args.tol, "tol", 0, strict=True)
+    linalg.check_int(args.max_iter, "max_iter", 1)
     X = _read_matrix(args.in_x)
     Y = _read_matrix(args.in_y)
-    epsilon = _parse_flag(args.epsilon, "--epsilon", "median", float, "a number")
     return transport.transport_plan(X, Y, epsilon=epsilon, tol=args.tol, max_iter=args.max_iter)
 
 
@@ -201,8 +194,7 @@ def cmd_embed(args) -> int:
     from . import embedding, linalg
 
     q = _parse_flag(args.q, "--q", "auto", int, "an integer")
-    if q != "auto":
-        linalg.check_int(q, "q", 1)  # the upper bound needs the plan's shape
+    embedding._check_q(q)  # the upper bound needs the plan's shape
     linalg.check_int(args.t, "t", 0)
     plan = _plan(args)
     # the model first: an unconverged plan fails here, before the full spectrum,

@@ -76,6 +76,11 @@ class DiffusionContext:
             object.__setattr__(self, name, coords)
 
 
+# The class for the isinstance checks below: perfbench's tracer replaces the
+# module global DiffusionContext with a wrapping function.
+_Context = DiffusionContext
+
+
 def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
     """Spectral form of one block of the t-step walk, from the plan's full SVD.
 
@@ -87,6 +92,8 @@ def block_power(ctx: DiffusionContext, block: str) -> np.ndarray:
     odd t), which is when the block coincides with the corresponding
     block of the dense walk matrix P^t.
     """
+    if not isinstance(ctx, _Context):
+        raise InputError("ctx must be a DiffusionContext")
     if block not in _BLOCKS:
         raise InputError(f"block must be one of {_BLOCKS}, got {block!r}")
     m, n = ctx.plan.shape
@@ -106,6 +113,8 @@ def diffusion_distance(ctx: DiffusionContext, kind: str, i, j):
     bitwise equal to one call per pair.  Every index is checked first.  The
     distance is the Euclidean one between rows of ``ctx.Xt`` / ``ctx.Yt``.
     """
+    if not isinstance(ctx, _Context):
+        raise InputError("ctx must be a DiffusionContext")
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
     A, B = (ctx.Xt if side == "X" else ctx.Yt for side in kind)

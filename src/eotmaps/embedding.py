@@ -113,10 +113,15 @@ def triplet_count(q, rank: int) -> int:
             f"a plan of rank min(m, n) = {rank} has no non-trivial coordinate; "
             "each cloud needs at least two points"
         )
+    q = _check_q(q, rank - 1)
+    return min(rank, _AUTO_WINDOW + 2) if q == "auto" else q + 1
+
+
+def _check_q(q, hi: int | None = None):
+    """``q`` itself if it is "auto", else as an integer in [1, hi]; other strings raise InputError."""
     if isinstance(q, str) and q != "auto":
         raise InputError(f'q must be a positive integer or "auto", got {q!r}')
-    fixed = not isinstance(q, str)
-    return check_int(q, "q", 1, rank - 1) + 1 if fixed else min(rank, _AUTO_WINDOW + 2)
+    return q if isinstance(q, str) else check_int(q, "q", 1, hi)
 
 
 def select_dimension(s) -> int:
@@ -209,8 +214,7 @@ def eot_eigenmaps(
     JointEmbedding in the caller's order (Xt aligns with X's rows).
     """
     check_int(t, "t", 0)
-    if not (isinstance(q, str) and q == "auto"):
-        check_int(q, "q", 1)  # the upper bound needs the plan's shape
+    _check_q(q)  # the upper bound needs the plan's shape
     plan = transport_plan(X, Y, epsilon=epsilon, tol=tol, max_iter=max_iter)
     return embed_from_model(spectral_model(plan, k=triplet_count(q, min(plan.shape))), q=q, t=t)
 

@@ -419,6 +419,35 @@ def test_embed_q_checked_before_the_plan(tmp_path, workdir, monkeypatch, capsys,
     assert "q must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["embed", "distances"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epsilon", "wide", '--epsilon must be a number or "median", got \'wide\''),
+    ("--epsilon", "-1", "epsilon must be a finite number > 0, got -1.0"),
+    ("--tol", "-1", "tol must be a finite number > 0, got -1.0"),
+    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+])
+def test_plan_flags_checked_before_the_inputs_are_read(tmp_path, monkeypatch, capsys, command,
+                                                       flag, value, message):
+    from eotmaps import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an input was read before the plan flags were checked")
+
+    monkeypatch.setattr(cli, "_read_matrix", unreachable)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\n")
+    outputs = {
+        "embed": ["--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv")],
+        "distances": ["--t", "2", "--pairs", str(pairs), "--out", str(tmp_path / "d.csv")],
+    }
+    code = cli.main([
+        command, "--in-x", str(tmp_path / "X.csv"), "--in-y", str(tmp_path / "Y.csv"),
+        flag, value, *outputs[command],
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_output_files_text(tmp_path, workdir, monkeypatch):
     # the exact bytes of the label, embedding and spectrum tables, from fixed
     # arrays: integer columns without ".0", %.17g values (-0, subnormals,
@@ -619,7 +648,7 @@ def test_evaluate_input_errors(workdir, tmp_path):
 
 @pytest.mark.parametrize("rows,message", [
     ("0,0,nan\n0,1,1\n1,0,2\n1,1,3\n", "contains non-finite entries"),
-    ("", "holds no rows"),
+    ("", "is empty"),
 ], ids=["nan-coordinate", "header-only"])
 def test_evaluate_names_a_bad_embedding_file(tmp_path, rows, message):
     emb, labels = tmp_path / "emb.csv", tmp_path / "labels.txt"

@@ -10,7 +10,9 @@ from eotmaps import (
     InputError,
     PlanNotConvergedError,
     TransportPlan,
+    block_power,
     build_operators,
+    diffusion_distance,
     embed_from_model,
     embedding_cost,
     eot_eigenmaps,
@@ -409,9 +411,13 @@ def test_embedding_cost_validation(pair):
         (lambda emb, plan: embedding_cost(dataclasses.replace(emb, Yt=emb.Yt[:, :1]), plan),
          "embedding blocks must share their dimension"),
         (lambda emb, plan: build_operators(plan.W), "plan must be a TransportPlan"),
+        (lambda emb, plan: block_power(None, "XX"), "ctx must be a DiffusionContext"),
+        (lambda emb, plan: diffusion_distance("ctx", "XY", 0, 1), "ctx must be a DiffusionContext"),
+        (lambda emb, plan: eot_eigenmaps(emb.Xt, emb.Yt, q="AUTO"),
+         "q must be a positive integer or \"auto\", got 'AUTO'"),
     ],
     ids=["spectral_model", "embed_from_model", "embedding_cost-plan", "embedding_cost-widths",
-         "build_operators"],
+         "build_operators", "block_power", "diffusion_distance", "eot_eigenmaps-q"],
 )
 def test_wrong_argument_types_raise_input_error(pair, call, message):
     _, _, plan = pair

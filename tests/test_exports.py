@@ -1,10 +1,13 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eotmaps
@@ -30,17 +33,44 @@ def test_numerical_failures_share_one_base(cls):
     assert issubclass(cls, NumericalError)
 
 
-def test_benchmark_tracer_targets_resolve(monkeypatch):
-    # the benchmark's tracer replaces these module globals by name, so a
-    # renamed or dropped function would only fail in a traced run
+@pytest.fixture
+def tracing(monkeypatch):
+    """The benchmark's tracer module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_targets_resolve(tracing):
+    # the benchmark's tracer replaces these module globals by name, so a
+    # renamed or dropped function would only fail in a traced run
     for module, attr, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_library_runs_under_the_benchmark_tracer(tracing):
+    # the wrappers are functions, so a module that used one of the replaced
+    # globals as a type (isinstance(ctx, DiffusionContext)) fails only when traced
+    from eotmaps import diffusion, embedding, metrics, transport
+
+    rng = np.random.default_rng(0)
+    X, Y = rng.normal(size=(30, 4)), rng.normal(size=(40, 4))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        emb = embedding.eot_eigenmaps(X, Y, q=2)
+        ctx = diffusion.DiffusionContext(plan=transport.transport_plan(X, Y), t=2)
+        diffusion.diffusion_distance(ctx, "XY", np.arange(5), np.arange(5))
+        diffusion.block_power(ctx, "XX")
+        metrics.jaccard_concordance(np.vstack([emb.Xt, emb.Yt]), np.vstack([X, Y]), k=5)
+    finally:
+        tracer.uninstall()
+    labels = {span.label for span in tracer.spans}
+    assert {"transport.sinkhorn", "diffusion.DiffusionContext", "metrics.knn"} <= labels
 
 
 def test_readme_quick_start_runs(capsys):
@@ -48,6 +78,21 @@ def test_readme_quick_start_runs(capsys):
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert "neighborhood concordance:" in capsys.readouterr().out
+
+
+def test_readme_command_line_runs(tmp_path):
+    # the "Command line" block, as written, with eotmaps run as python -m eotmaps
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    script = f'set -e\neotmaps() {{ "{sys.executable}" -m eotmaps "$@"; }}\n{block}'
+    src = str(Path(eotmaps.__file__).parents[1])  # the package under test, from any directory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    r = subprocess.run(["sh", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    outputs = re.findall(r"--out[a-z-]* (\S+)", block)
+    assert len(outputs) == 8
+    for name in outputs:
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_no_unused_imports():
