@@ -245,17 +245,25 @@ def davies_bouldin(points, labels) -> float:
     Scatter is the RMS distance to the centroid; separation is the centroid
     distance.  Coincident centroids make the ratio +inf, so the index is
     +inf whenever two clusters share a centroid.  Lower is better.
+
+    Separations come from direct differences, and one within the centroids'
+    own summation error, (gamma_na + gamma_nb) max|P| sqrt(d) (Higham,
+    *Accuracy and Stability*, ch. 4), counts as coincident: such centroids
+    differ by rounding alone, and the ratio would be rounding noise.
     """
-    P, labels, classes, _ = _clusters(points, labels)
+    P, labels, classes, own = _clusters(points, labels)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
         centroids = np.vstack([P[labels == c].mean(axis=0) for c in classes])
         scatter = np.array([np.sqrt(((P[labels == c] - centroids[i]) ** 2).sum(axis=1).mean())
                             for i, c in enumerate(classes)])
-    if not np.isfinite(scatter).all():  # a non-finite centroid makes its scatter non-finite
+        M = np.array([np.sqrt(((centroids - c) ** 2).sum(axis=1)) for c in centroids])
+    if not (np.isfinite(scatter).all() and np.isfinite(M).all()):  # a non-finite centroid shows in both
         raise InputError("squared distances overflow float64; rescale the points")
-    M = np.sqrt(_block_distances(centroids, centroids))
+    nu = np.bincount(own) * (np.finfo(float).eps / 2)
+    gamma = nu / (1 - nu)
+    rounding = (gamma[:, None] + gamma[None, :]) * np.abs(P).max() * np.sqrt(P.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(M > 0, (scatter[:, None] + scatter[None, :]) / M, np.inf)
+        ratios = np.where(M > rounding, (scatter[:, None] + scatter[None, :]) / M, np.inf)
     np.fill_diagonal(ratios, -np.inf)
     return float(ratios.max(axis=1).mean())
 

@@ -419,15 +419,23 @@ def test_embed_q_checked_before_the_plan(tmp_path, workdir, monkeypatch, capsys,
     assert "q must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["embed", "distances"])
-@pytest.mark.parametrize("flag,value,message", [
-    ("--epsilon", "wide", '--epsilon must be a number or "median", got \'wide\''),
-    ("--epsilon", "-1", "epsilon must be a finite number > 0, got -1.0"),
-    ("--tol", "-1", "tol must be a finite number > 0, got -1.0"),
-    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
-])
+_PLAN_FLAG_CASES = [  # (command, flag, value, message)
+    *((command, *case) for case in [
+        ("--epsilon", "wide", '--epsilon must be a number or "median", got \'wide\''),
+        ("--epsilon", "-1", "epsilon must be a finite number > 0, got -1.0"),
+        ("--tol", "-1", "tol must be a finite number > 0, got -1.0"),
+        ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+    ] for command in ("embed", "distances")),
+    ("distances", "--t", "0", "t must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,message",
+                         [pytest.param(*case, id="-".join([*case[1:], case[0]])) for case in _PLAN_FLAG_CASES])
 def test_plan_flags_checked_before_the_inputs_are_read(tmp_path, monkeypatch, capsys, command,
                                                        flag, value, message):
+    # every table the CLI reads goes through _read_matrix, the pair list too,
+    # so a bad flag must exit 2 before any input file is opened
     from eotmaps import cli
 
     def unreachable(*args, **kwargs):
@@ -440,9 +448,9 @@ def test_plan_flags_checked_before_the_inputs_are_read(tmp_path, monkeypatch, ca
         "embed": ["--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv")],
         "distances": ["--t", "2", "--pairs", str(pairs), "--out", str(tmp_path / "d.csv")],
     }
-    code = cli.main([
+    code = cli.main([  # the flag last: it overrides the --t 2 of distances' outputs
         command, "--in-x", str(tmp_path / "X.csv"), "--in-y", str(tmp_path / "Y.csv"),
-        flag, value, *outputs[command],
+        *outputs[command], flag, value,
     ])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -875,6 +883,47 @@ def test_unwritable_or_undecodable_file_exits_2(workdir, tmp_path, case):
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
     assert str(bad) in r.stderr
+
+
+_CLEAN_PAIRS = "kind,i,j\nXX,0,5\nYY,2,7\nXY,3,9\n"
+_PAIR_LISTS = {  # the same pairs as _CLEAN_PAIRS, or an error the line must give
+    "blank-line": ("kind,i,j\nXX,0,5\n\nYY,2,7\nXY,3,9\n", None),
+    "spaces": ("kind , i , j\n XX , 0 , 5 \nYY,2,7\n XY,3 ,9\n", None),
+    "crlf": (_CLEAN_PAIRS.replace("\n", "\r\n"), None),
+    "comment": ("kind,i,j\n# kind,i,j\nXX,0,5\nYY,2,7\nXY,3,9\n", None),
+    "extra-column": ("kind,i,j\nXX,0,5,1\nYY,2,7,1\n", "rows must have 3 columns 'kind,i,j', got 4"),
+    "long-row": ("kind,i,j\nXX,0,5\nYY,2,7,1\n", "the number of columns changed from 3 to 4 at row 2"),
+    "short-row": ("kind,i,j\nXX,0,5\nYY,2\n", "the number of columns changed from 3 to 2 at row 2"),
+    "header-only": ("kind,i,j\n", "is empty"),
+    "non-integer": ("kind,i,j\nXX,0,5\nYY,2,7.5\n", "indices must be integers"),
+    "beyond-int64": ("kind,i,j\nXX,0,99999999999999999999\n", "indices must be integers (int64)"),
+    "unknown-kind": ("kind,i,j\nXX,0,5\n\n ZZ ,1,2\n", "row 2: kind must be XX, YY or XY, got 'ZZ'"),
+    "quoted-kind": ("kind,i,j\n\"XX\",0,5\n", "row 1: kind must be XX, YY or XY, got '\"XX\"'"),
+}
+
+
+@pytest.mark.parametrize("case", _PAIR_LISTS)
+def test_pair_list_format(workdir, tmp_path, case):
+    # blank and # lines are skipped and spaces around fields ignored, as in
+    # every table the CLI reads; a malformed list exits 2 with one error line
+    text, error = _PAIR_LISTS[case]
+    runs = []
+    for name, pairs in (("clean", _CLEAN_PAIRS), (case, text)):
+        (tmp_path / f"{name}.csv").write_bytes(pairs.encode())
+        runs.append(run_cli(
+            "distances", "--in-x", workdir / "X.csv", "--in-y", workdir / "Y.csv",
+            "--t", 1, "--pairs", tmp_path / f"{name}.csv", "--out", tmp_path / f"{name}-dist.csv",
+        ))
+    clean, r = runs
+    assert clean.returncode == 0, clean.stderr
+    if error is None:
+        assert (r.returncode, r.stdout, r.stderr) == (0, clean.stdout, clean.stderr)
+        assert sha256(tmp_path / f"{case}-dist.csv") == sha256(tmp_path / "clean-dist.csv")
+    else:
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+        assert str(tmp_path / f"{case}.csv") in r.stderr and error in r.stderr, r.stderr
+        assert not (tmp_path / f"{case}-dist.csv").exists()
 
 
 def test_distances_checks_every_pair_before_writing(workdir, tmp_path):

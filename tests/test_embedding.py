@@ -460,3 +460,20 @@ def test_permuting_the_points_permutes_the_embedding(name, param):
             np.testing.assert_allclose(got.Xt, ref.Xt[px], rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.Yt, ref.Yt[py], rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.s_used, ref.s_used, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,param", [("setting1", 8.0), ("clustering", 3.0)])
+def test_power_of_two_scaling_leaves_the_plan_and_embedding_unchanged(name, param):
+    # 2^k scales every coordinate exactly, so every squared distance and the
+    # median bandwidth scale by exactly 4^k, the kernel's exponents do not
+    # move, and neither may the plan, the coordinates or the singular values
+    pair = preset(name, 300, 400, 100, 0, param)
+    X, Y = pair.X.values, pair.Y.values
+    plan, emb = transport_plan(X, Y), eot_eigenmaps(X, Y, q=3, t=1)
+    for k in range(-20, 31):
+        scaled_plan = transport_plan(X * 2.0**k, Y * 2.0**k)
+        scaled = eot_eigenmaps(X * 2.0**k, Y * 2.0**k, q=3, t=1)
+        assert scaled_plan.epsilon == plan.epsilon * 4.0**k, k
+        assert np.array_equal(scaled_plan.W, plan.W), k
+        for got, want in ((scaled.Xt, emb.Xt), (scaled.Yt, emb.Yt), (scaled.s_used, emb.s_used)):
+            assert np.array_equal(got, want), k

@@ -7,10 +7,12 @@ from eotmaps import (
     DimensionError,
     InputError,
     davies_bouldin,
+    eot_eigenmaps,
     jaccard_concordance,
     kmeans,
     knn,
     neighbor_purity,
+    preset,
     rand_index,
     sample_gmm,
     silhouette_mean,
@@ -299,11 +301,13 @@ def test_davies_bouldin_coincident_centroids_is_inf():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("points", [[[1.7e308], [1.7e308], [0.0], [1.0]], [[1e308], [-1e308], [0.0], [1.0]]],
-                         ids=["centroid", "scatter"])
+@pytest.mark.parametrize("points", [[[1.7e308], [1.7e308], [0.0], [1.0]], [[1e308], [-1e308], [0.0], [1.0]],
+                                    [[1e200], [1e200], [-1e200], [-1e200]]],
+                         ids=["centroid", "scatter", "separation"])
 def test_davies_bouldin_rejects_overflowing_points(points):
-    # the first cluster's centroid mean, or its scatter's squares, overflow:
-    # one InputError, the one silhouette_mean raises, and no warning first
+    # the first cluster's centroid mean, its scatter's squares, or the two
+    # centroids' squared separation overflow: one InputError, the one
+    # silhouette_mean raises, and no warning first
     message = "squared distances overflow float64; rescale the points"
     for metric in (davies_bouldin, silhouette_mean):
         with pytest.raises(InputError, match=f"^{message}$"):
@@ -320,7 +324,8 @@ def test_davies_bouldin_prefers_separation():
 
 def test_davies_bouldin_equals_pairwise_loop():
     # reference: the ratio of every ordered pair of distinct clusters, one at
-    # a time; the vectorized index must give the same bits
+    # a time, each separation the norm of the centroids' difference; the
+    # vectorized index must give the same bits
     rng = np.random.default_rng(11)
     for k in (2, 3, 5):
         pts = rng.normal(size=(40, 3))
@@ -328,10 +333,20 @@ def test_davies_bouldin_equals_pairwise_loop():
         centroids = np.array([pts[labels == c].mean(axis=0) for c in range(k)])
         scatter = np.array([np.sqrt(((pts[labels == c] - centroids[c]) ** 2).sum(axis=1).mean())
                             for c in range(k)])
-        sep = np.sqrt(squared_distance_matrix(centroids, centroids))
-        worst = [max((scatter[i] + scatter[j]) / sep[i, j] for j in range(k) if j != i)
+        worst = [max((scatter[i] + scatter[j]) / np.sqrt(((centroids[i] - centroids[j]) ** 2).sum())
+                     for j in range(k) if j != i)
                  for i in range(k)]
         assert davies_bouldin(pts, labels) == np.mean(worst)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_davies_bouldin_centroids_equal_up_to_rounding_is_inf(seed):
+    # at t = 0 each cloud's coordinates have mean 0 by construction, so the
+    # dataset-indicator clusters' centroids differ by rounding alone
+    # (3.8e-14 to 9.5e-14 apart here, against a bound of about 2.9e-13)
+    pair = preset("setting2", 300, 400, 100, seed, 3.0)
+    emb = eot_eigenmaps(pair.X.values, pair.Y.values, q=3, t=0)
+    assert davies_bouldin(np.r_[emb.Xt, emb.Yt], np.repeat([0, 1], [300, 400])) == np.inf
 
 
 def test_silhouette_hand_oracle():
