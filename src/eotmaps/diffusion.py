@@ -38,7 +38,7 @@ _KINDS = ("XX", "YY", "XY")
 _PAIR_BLOCK = 256  # pairs whose coordinate rows are gathered at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionContext:
     """A converged plan, a diffusion time t >= 1, and the plan's diffusion coordinates.
 
@@ -52,8 +52,8 @@ class DiffusionContext:
 
     plan: TransportPlan
     t: int
-    Xt: np.ndarray = field(init=False, repr=False, compare=False)
-    Yt: np.ndarray = field(init=False, repr=False, compare=False)
+    Xt: np.ndarray = field(init=False, repr=False)
+    Yt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.plan, TransportPlan):

@@ -30,7 +30,7 @@ _TRIVIAL_VECTOR_TOL = 1e-6
 _TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Leading singular triplets of a plan, with the trivial pair certified.
 
@@ -49,7 +49,7 @@ class SpectralModel:
     s_next: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointEmbedding:
     """Aligned coordinates for both clouds.
 

@@ -39,7 +39,7 @@ def _stream(seed, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + key)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentSample:
     """Drawn latent float64 points (count, r), plus int64 labels when the law has classes."""
 
@@ -55,7 +55,7 @@ class LatentSample:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """A drawn cloud's read-only float64 ``values``; kept only while the benchmark reads them."""
 
@@ -123,7 +123,7 @@ def _draw_cloud(points, dataset, seed, nu, a, sigma, bands=0, nuisance=None) -> 
     return DataMatrix(M)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulatedPair:
     """One simulated draw: :class:`DataMatrix` clouds X (m, p) and Y (n, p), plus their latents."""
 

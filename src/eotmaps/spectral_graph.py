@@ -30,7 +30,7 @@ DEFAULT_MAX_SIZE = 5000
 _MARGINAL_GATE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteOperators:
     """Dense operator bundle for one plan: the Laplacian-like L and the walk P."""
 

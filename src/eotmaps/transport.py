@@ -147,7 +147,7 @@ def median_bandwidth(D2) -> float:
     return med
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A converged entropic plan.
 

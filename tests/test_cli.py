@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -885,6 +886,27 @@ def test_unwritable_or_undecodable_file_exits_2(workdir, tmp_path, case):
     assert str(bad) in r.stderr
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["simulate", "embed", "evaluate", "distances"])
+def test_failed_write_exits_2(workdir, tmp_path, command):
+    # opening succeeds and every write fails (no space left): the same one
+    # "cannot write" line as an unopenable path, for every output file
+    full, out, d = "/dev/full", tmp_path / "out.csv", workdir
+    (tmp_path / "pairs.csv").write_text("kind,i,j\nXY,0,1\n")
+    argv = {
+        "simulate": ["--config", d / "config.json", "--out-x", full, "--out-y", out,
+                     "--out-latent", out, "--out-labels", out],
+        "embed": ["--in-x", d / "X.csv", "--in-y", d / "Y.csv", "--out-embedding", out,
+                  "--out-spectrum", full],
+        "evaluate": ["--embedding", d / "emb.csv", "--metric", "db", "--labels", d / "labels.txt",
+                     "--out", full],
+        "distances": ["--in-x", d / "X.csv", "--in-y", d / "Y.csv", "--t", 1,
+                      "--pairs", tmp_path / "pairs.csv", "--out", full],
+    }
+    r = run_cli(command, *argv[command])
+    assert (r.returncode, r.stderr) == (2, f"error: cannot write {full}\n")
+
+
 _CLEAN_PAIRS = "kind,i,j\nXX,0,5\nYY,2,7\nXY,3,9\n"
 _PAIR_LISTS = {  # the same pairs as _CLEAN_PAIRS, or an error the line must give
     "blank-line": ("kind,i,j\nXX,0,5\n\nYY,2,7\nXY,3,9\n", None),
@@ -894,6 +916,8 @@ _PAIR_LISTS = {  # the same pairs as _CLEAN_PAIRS, or an error the line must giv
     "extra-column": ("kind,i,j\nXX,0,5,1\nYY,2,7,1\n", "rows must have 3 columns 'kind,i,j', got 4"),
     "long-row": ("kind,i,j\nXX,0,5\nYY,2,7,1\n", "the number of columns changed from 3 to 4 at row 2"),
     "short-row": ("kind,i,j\nXX,0,5\nYY,2\n", "the number of columns changed from 3 to 2 at row 2"),
+    "long-row-60001": ("kind,i,j\n" + "XX,0,5\n" * 60_000 + "YY,2,7,1\n",
+                       "the number of columns changed from 3 to 4 at row 60001"),
     "header-only": ("kind,i,j\n", "is empty"),
     "non-integer": ("kind,i,j\nXX,0,5\nYY,2,7.5\n", "indices must be integers"),
     "beyond-int64": ("kind,i,j\nXX,0,99999999999999999999\n", "indices must be integers (int64)"),

@@ -33,6 +33,26 @@ def test_numerical_failures_share_one_base(cls):
     assert issubclass(cls, NumericalError)
 
 
+def _results():
+    """One of each result record; a second call builds equal-valued copies."""
+    pair = eotmaps.preset("setting1", 12, 15, 5, 0)
+    plan = eotmaps.transport_plan(pair.X.values, pair.Y.values)
+    model = eotmaps.spectral_model(plan, k=3)
+    return (pair, pair.X, pair.latent_x, plan, model, eotmaps.embed_from_model(model, q=2, t=0),
+            eotmaps.build_operators(plan), eotmaps.DiffusionContext(plan=plan, t=1))
+
+
+def test_result_records_compare_by_identity():
+    # a field-wise == or hash cannot work on arrays (no single truth value,
+    # unhashable), so every record is equal only to itself and hashes by identity
+    first, second = _results(), _results()
+    assert {type(r).__name__ for r in first} == {
+        "SimulatedPair", "DataMatrix", "LatentSample", "TransportPlan", "SpectralModel",
+        "JointEmbedding", "BipartiteOperators", "DiffusionContext"}
+    for a, b in zip(first, second):
+        assert a == a and a != b and len({a, b}) == 2, type(a).__name__
+
+
 @pytest.fixture
 def tracing(monkeypatch):
     """The benchmark's tracer module, loaded from its file."""

@@ -12,7 +12,10 @@ from eotmaps import (
     DimensionError,
     InputError,
     NumericalError,
+    kmeans,
+    knn,
     median_bandwidth,
+    pca_embed,
     preset,
     select_dimension,
     squared_distance_matrix,
@@ -135,6 +138,20 @@ def test_svd_input_validation():
         truncated_svd(np.array([[np.nan, 1.0]]), 1)
     with pytest.raises(InputError):
         truncated_svd(np.ones(3), 1)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("call,name", [
+    (lambda E: transport_plan(E, np.ones((4, 3))), "X"),
+    (lambda E: squared_distance_matrix(np.ones((4, 3)), E), "Y"),
+    (lambda E: knn(E, 1), "points"),
+    (lambda E: kmeans(E, 2), "points"),
+    (lambda E: pca_embed(E, 1), "X"),
+], ids=["transport_plan", "squared_distance_matrix", "knn", "kmeans", "pca_embed"])
+def test_matrix_without_rows_or_columns_is_an_input_error(call, name, shape):
+    with pytest.raises(InputError) as info:
+        call(np.empty(shape))
+    assert str(info.value) == f"{name} must have at least one row and one column, got {shape}"
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +329,21 @@ def test_svd_gram_path_declines_a_zero_kth_eigenvalue(svd_paths, monkeypatch):
     np.testing.assert_array_equal(U, U_full[:, :4])
     np.testing.assert_array_equal(V, V_full[:, :4])
     np.testing.assert_allclose(s, [3.0, 2.0, 0.0, 0.0], rtol=0, atol=1e-15)
+
+
+def test_svd_failed_gram_eigensolve_goes_dense(plans, svd_paths, monkeypatch):
+    # the flat plan's subspace loop hands off to the Gram path, whose failed
+    # eigensolve leaves the call to the dense SVD
+    def fail(W, k):
+        raise NumericalError("eigh of the Gram matrix failed")
+
+    monkeypatch.setattr(linalg, "_small_side_gram", fail)
+    s, U, V = truncated_svd(plans["flat"], 5)
+    assert svd_paths == ["dense"]
+    s_full, U_full, V_full = truncated_svd(plans["flat"], 100)
+    np.testing.assert_array_equal(s, s_full[:5])
+    np.testing.assert_array_equal(U, U_full[:, :5])
+    np.testing.assert_array_equal(V, V_full[:, :5])
 
 
 def test_svd_gram_memory_error_names_the_size(monkeypatch):
