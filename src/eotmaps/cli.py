@@ -14,10 +14,10 @@ File conventions
 * evaluate writes JSON ``{"metric": ..., "value": ..., "params": {...}}``.
 
 Exit codes: 0 success; 2 invalid input (bad flags, malformed files or
-config, shape mismatches, a transport plan, or the SVD or Gram
-eigendecomposition of one, too large for memory); 3 numerical failure
-(non-convergence, an unconverged plan, degenerate results, non-finite SVD
-factors, a failed eigendecomposition of the Gram matrix).
+config, shape mismatches, and, through ``linalg.reporting_failures``, a plan or
+a factorization of one too large for memory); 3 numerical failure (Sinkhorn
+non-convergence, an unconverged plan, degenerate results, non-finite SVD
+factors, and, through that helper, a LAPACK routine that does not converge).
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 cap the BLAS thread pools before numpy loads; only the exception classes of

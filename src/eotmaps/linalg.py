@@ -17,6 +17,8 @@ through ``truncated_svd``, which decides each of these once:
   path, so each residual and certificate reads ||W v - s u|| alone.
 
 Triplets come out in descending order, bitwise reproducible on identical input.
+Every factorization here and in ``transport_plan`` runs under :func:`reporting_failures`:
+a MemoryError raises InputError (CLI exit 2), LAPACK non-convergence NumericalError (exit 3).
 """
 
 from __future__ import annotations
@@ -147,14 +149,16 @@ def as_labels(labels, count: int, name: str = "labels") -> np.ndarray:
 
 
 @contextmanager
-def fits_in_memory(shape: tuple[int, int], subject: str = "the dense SVD of a {} matrix"):
-    """Turn a MemoryError inside the block into an InputError naming the m x n size."""
+def reporting_failures(shape: tuple[int, int], subject: str = "the dense SVD of a {} matrix"):
+    """The block's MemoryError as an InputError naming the m x n size, LinAlgError as NumericalError."""
+    size = "{} x {}".format(*shape)
     try:
         yield
     except MemoryError as exc:
-        size = "{} x {}".format(*shape)
         raise InputError(f"{subject.format(size)} does not fit in memory (one {size} "
                          f"float64 array takes {shape[0] * shape[1] * 8 / 2**20:.1f} MiB)") from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{subject.format(size)} failed: {exc}") from exc
 
 
 def _fix_singular_signs(s: np.ndarray, U: np.ndarray, V: np.ndarray):
@@ -237,11 +241,8 @@ def _small_side_gram(A: np.ndarray, k: int):
     W W^T overflows or eigh does not converge.
     """
     W = _wide(A)
-    with fits_in_memory(W.shape, "the Gram eigendecomposition of a {} matrix"):
-        try:
-            lam, Z = np.linalg.eigh(W @ W.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigh of the Gram matrix failed: {exc}") from exc
+    with reporting_failures(A.shape, "the Gram eigendecomposition of a {} matrix"):
+        lam, Z = np.linalg.eigh(W @ W.T)
         Z = Z[:, ::-1]
         # (Z^T W)^T reads a C-ordered W along its rows; C order keeps row gathers fast
         return lam[::-1], Z, np.ascontiguousarray((Z[:, :k].T @ W).T)
@@ -250,14 +251,11 @@ def _small_side_gram(A: np.ndarray, k: int):
 def _gram_svd(W: np.ndarray, k: int):
     """Leading k triplets and s_{k+1} of a wide W from eigh(W W^T), long side W^T u / s, or None.
 
-    None too unless ||W v - s u|| is at most 1e-10 * s_1 for every triplet
-    (W^T u = s v holds by construction): W W^T rounds at about eps * s_1^2,
-    so values near sqrt(eps) * s_1 fail this certificate.
+    None unless ||W v - s u|| <= 1e-10 * s_1 for every triplet (W^T u = s v by
+    construction); W W^T rounds at about eps * s_1^2, so values near sqrt(eps) * s_1
+    fail this certificate.  A failed eigh raises NumericalError.
     """
-    try:
-        lam, Z, WtZ = _small_side_gram(W, k)
-    except NumericalError:
-        return None
+    lam, Z, WtZ = _small_side_gram(W, k)
     if not lam[k - 1] > 0.0:
         return None
     s = np.sqrt(lam[:k])
@@ -296,10 +294,10 @@ def singular_values(A: np.ndarray, block=None) -> np.ndarray:
     deflated; a flat spectrum, where nothing would be, fails (c).  For a
     non-square A the result is bitwise equal to ``singular_values(A.T)``
     with the block's U and V exchanged.  Running out of memory raises
-    InputError.
+    InputError, and a LAPACK routine that does not converge NumericalError.
     """
     W = _wide(A)
-    with fits_in_memory(A.shape):
+    with reporting_failures(A.shape):
         if block is not None:
             s = _deflated_values(W, as_real(block[0] if W is A else block[1], "block", 2))
             if s is not None:
@@ -407,8 +405,8 @@ def truncated_svd(A, k: int):
     first path that returns triplets serves the call; otherwise a thin
     dense SVD of W, sliced, does.  These residuals bound the backward
     error, so a vector's error can reach the residual over its gap to the
-    neighbouring values (about 1e-6 for nearly tied small values).  Running
-    out of memory raises InputError, and s_1 beyond float64 NumericalError.
+    neighbouring values (about 1e-6 for nearly tied small values).  Running out of
+    memory raises InputError; a dense SVD that fails, or s_1 beyond float64, NumericalError.
 
     Signs are fixed on W's left vectors, the short side, before the factors
     are mapped back: for non-square A, ``truncated_svd(A.T, k)`` returns
@@ -420,10 +418,10 @@ def truncated_svd(A, k: int):
     W = _wide(A)
 
     proposal = None
-    with fits_in_memory(A.shape):
+    with reporting_failures(A.shape):
         if _SUBSPACE_RATIO * (k + _OVERSAMPLE) <= min(m, n):
-            # an overflow fails every residual check, or LAPACK on an overflowed block
-            with np.errstate(over="ignore", invalid="ignore"), suppress(np.linalg.LinAlgError):
+            # an overflow fails a residual check or LAPACK; LAPACK failing declines the path
+            with np.errstate(over="ignore", invalid="ignore"), suppress(np.linalg.LinAlgError, NumericalError):
                 proposal = _subspace_svd(W, k)[0] or _gram_svd(W, k)
         proposal = proposal or _dense_svd(W, k)
     s, U, V = (np.ascontiguousarray(x) for x in proposal[:3])

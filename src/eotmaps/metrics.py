@@ -249,7 +249,8 @@ def davies_bouldin(points, labels) -> float:
     Separations come from direct differences, and one within the centroids'
     own summation error, (gamma_na + gamma_nb) max|P| sqrt(d) (Higham,
     *Accuracy and Stability*, ch. 4), counts as coincident: such centroids
-    differ by rounding alone, and the ratio would be rounding noise.
+    differ by rounding alone, and the ratio would be rounding noise.  So does a separation
+    within 2^-26 (sqrt eps) of the scatters' sum: a solver's error alone leaves gaps that small.
     """
     P, labels, classes, own = _clusters(points, labels)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
@@ -262,8 +263,9 @@ def davies_bouldin(points, labels) -> float:
     nu = np.bincount(own) * (np.finfo(float).eps / 2)
     gamma = nu / (1 - nu)
     rounding = (gamma[:, None] + gamma[None, :]) * np.abs(P).max() * np.sqrt(P.shape[1])
+    spread = scatter[:, None] + scatter[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(M > rounding, (scatter[:, None] + scatter[None, :]) / M, np.inf)
+        ratios = np.where(M > np.maximum(rounding, 2.0**-26 * spread), spread / M, np.inf)
     np.fill_diagonal(ratios, -np.inf)
     return float(ratios.max(axis=1).mean())
 

@@ -564,6 +564,43 @@ def test_deflated_spectrum_out_of_memory_exits_2(tmp_path, workdir, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,routine,subject",
+    [("embed", "svd", "the dense SVD of a 8 x 10 matrix"),
+     ("embed-q2", "eigvalsh", "the dense SVD of a 8 x 10 matrix"),
+     ("distances-t1", "svd", "the dense SVD of a 8 x 10 matrix"),
+     ("distances-t2", "eigh", "the Gram eigendecomposition of a 8 x 10 matrix")],
+    ids=["embed-svd", "embed-q2-eigvalsh", "distances-t1-svd", "distances-t2-eigh"],
+)
+def test_lapack_nonconvergence_exits_3(tmp_path, workdir, monkeypatch, capsys, command, routine, subject):
+    # LAPACK's "did not converge" (INFO > 0), which numpy raises as LinAlgError,
+    # at the plan's thin SVD (embed at its 8 triplets, distances --t 1), the
+    # deflated spectrum's eigvalsh (embed --q 2, as in the test above) and the
+    # Gram eigh (distances --t 2): one "numerical failure:" line, exit 3
+    import eotmaps.linalg as linalg
+    from eotmaps import cli
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    deflations = []
+    original = linalg._deflated_values
+    monkeypatch.setattr(linalg, "_deflated_values", lambda W, P: deflations.append(P.shape) or original(W, P))
+    monkeypatch.setattr(np.linalg, routine, unconverged)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("kind,i,j\nXX,0,1\n")
+    embed = ["embed", "--out-embedding", str(tmp_path / "e.csv"), "--out-spectrum", str(tmp_path / "s.csv")]
+    distances = ["distances", "--pairs", str(pairs), "--out", str(tmp_path / "d.csv")]
+    args = {"embed": embed, "embed-q2": [*embed, "--q", "2"],
+            "distances-t1": [*distances, "--t", "1"], "distances-t2": [*distances, "--t", "2"]}[command]
+    code = cli.main([*args, "--in-x", str(workdir / "X.csv"), "--in-y", str(workdir / "Y.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == [f"numerical failure: {subject} failed: {routine} did not converge"]
+    assert deflations == ([(8, 3)] if command == "embed-q2" else [])
+    assert not any(tmp_path.glob("?.csv"))
+
+
 def test_distances_unconverged_plan_exits_3(tmp_path, workdir, monkeypatch, capsys):
     import eotmaps.transport as transport
     from eotmaps import TransportPlan, cli
@@ -597,7 +634,12 @@ def test_evaluate_label_metrics(workdir, metric):
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["metric"] == metric
-    assert np.isfinite(payload["value"])
+    if metric == "db":
+        # the dataset-indicator labels at t = 0: the centroids are 3.4e-12 apart
+        # (the plan's marginal error), 1.2e-12 of the scatters' sum, so coincident
+        assert payload["value"] == np.inf
+    else:
+        assert np.isfinite(payload["value"])
 
 
 def test_evaluate_concordance(workdir, tmp_path):

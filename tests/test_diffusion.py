@@ -224,14 +224,16 @@ def test_context_rejects_unconverged_plan(t, leading):
 
 
 def test_context_reports_a_failed_gram_eigensolve(setup, monkeypatch):
-    # the Gram route (t >= 2) turns eigh's LinAlgError into NumericalError
+    # the Gram route (t >= 2) runs under linalg.reporting_failures, which turns
+    # eigh's LinAlgError into NumericalError naming the Gram matrix's size
     _, _, plan, _, _ = setup
 
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(NumericalError, match="eigh of the Gram matrix failed"):
+    with pytest.raises(NumericalError, match=r"^the Gram eigendecomposition of a "
+                       rf"{M} x {N} matrix failed: Eigenvalues did not converge$"):
         DiffusionContext(plan, 2)
 
 

@@ -393,6 +393,18 @@ def test_singular_values_qr_memory_error_names_the_size(monkeypatch):
         linalg.singular_values(np.ones((40, 100)))
 
 
+def test_singular_values_nonconvergence_is_numerical_error(monkeypatch):
+    # LAPACK's "did not converge" (INFO > 0, raised by numpy as LinAlgError) in
+    # the values-only SVD reaches the caller as NumericalError naming the size
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
+    with pytest.raises(NumericalError, match=r"^the dense SVD of a 40 x 45 matrix failed: "
+                       r"SVD did not converge$"):
+        linalg.singular_values(RNG.normal(size=(40, 45)))
+
+
 def _auto_block(A):
     """The block the CLI passes for q="auto": the leading q + 1 of 12 triplets."""
     s, U, V = truncated_svd(A, 12)

@@ -339,14 +339,30 @@ def test_davies_bouldin_equals_pairwise_loop():
         assert davies_bouldin(pts, labels) == np.mean(worst)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_davies_bouldin_centroids_equal_up_to_rounding_is_inf(seed):
-    # at t = 0 each cloud's coordinates have mean 0 by construction, so the
-    # dataset-indicator clusters' centroids differ by rounding alone
-    # (3.8e-14 to 9.5e-14 apart here, against a bound of about 2.9e-13)
-    pair = preset("setting2", 300, 400, 100, seed, 3.0)
+@pytest.mark.parametrize(
+    "seed,m,n,p",
+    [(0, 300, 400, 100), (1, 300, 400, 100), (2, 300, 400, 100), (5, 150, 200, 20)],
+    ids=["0", "1", "2", "cli-150x200"],
+)
+def test_davies_bouldin_centroids_equal_up_to_rounding_is_inf(seed, m, n, p):
+    # at t = 0 each cloud's coordinates have mean 0 up to the plan's marginal
+    # error, so the dataset-indicator clusters' centroids differ by rounding
+    # alone on the 300 x 400 pairs (3.8e-14 to 9.5e-14 apart, against a bound
+    # of about 2.9e-13), and by Sinkhorn's error on the 150 x 200 pair of the
+    # CLI tests: 2.9e-11 apart, above its rounding bound of 1.4e-13 but 8.3e-12
+    # of the scatters' sum, where the index read 1.2e11
+    pair = preset("setting2", m, n, p, seed, 3.0)
     emb = eot_eigenmaps(pair.X.values, pair.Y.values, q=3, t=0)
-    assert davies_bouldin(np.r_[emb.Xt, emb.Yt], np.repeat([0, 1], [300, 400])) == np.inf
+    assert davies_bouldin(np.r_[emb.Xt, emb.Yt], np.repeat([0, 1], [m, n])) == np.inf
+
+
+@pytest.mark.parametrize("shift,expected", [(2.0**-24, 2.0**25), (2.0**-25, np.inf)], ids=["above", "at"])
+def test_davies_bouldin_separation_within_sqrt_eps_of_the_scatters_is_inf(shift, expected):
+    # clusters {-1, 1} and {-1 + shift, 1 + shift}, all exact: scatters 1 and
+    # 1, separation shift; at or below 2^-26 of the scatters' sum (2^-25) the
+    # centroids count as coincident, above it the ratio is 2 / shift
+    pts = np.array([[-1.0], [1.0], [-1.0 + shift], [1.0 + shift]])
+    assert davies_bouldin(pts, [0, 0, 1, 1]) == expected
 
 
 def test_silhouette_hand_oracle():

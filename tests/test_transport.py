@@ -847,6 +847,24 @@ def test_transport_plan_out_of_memory_is_input_error(monkeypatch):
         transport_plan(Y, X, epsilon=1.0)
 
 
+def test_transport_plan_reports_a_failed_anderson_solve(monkeypatch):
+    # LAPACK's "did not converge" in an Anderson mix's least-squares fit
+    # reaches the caller as NumericalError naming the plan, not as LinAlgError
+    solves = []
+
+    def unconverged(*args, **kwargs):
+        solves.append(1)
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", unconverged)
+    pair = preset("clustering", 90, 40, 20, 4, 1.0)  # the sharp plan, which mixes
+    eps = median_bandwidth(squared_distance_matrix(pair.X.values, pair.Y.values)) / 100.0
+    with pytest.raises(NumericalError, match=r"^a 90 x 40 transport plan failed: "
+                       r"SVD did not converge in Linear Least Squares$"):
+        transport_plan(pair.X.values, pair.Y.values, epsilon=eps)
+    assert solves == [1]
+
+
 def test_transport_plan_identical_points_degenerate():
     X = np.zeros((4, 3))
     with pytest.raises(DegenerateBandwidthError):
